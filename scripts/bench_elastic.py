@@ -9,7 +9,8 @@ in simulated **cell-slots per second**.  Two modes:
   cell-slots/s for the migration run;
 * CI guard — ``--check results/bench_elastic_baseline.json`` fails when
   throughput regresses more than ``--tolerance`` below the recorded
-  baseline; ``--write-baseline`` records the current tree.
+  baseline, scaled to this host by :func:`repro.bench.scaled_floor`;
+  ``--write-baseline`` records the current tree.
 
 The guard also re-checks the migration determinism contract on every
 run: the per-cell digests of the migrated run must equal a no-reconfig
@@ -28,7 +29,7 @@ import time
 sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "src"))
 
-from repro.bench import calibrate_reference  # noqa: E402
+from repro.bench import calibrate_reference, scaled_floor  # noqa: E402
 from repro.fleet import FleetScenario, Planner  # noqa: E402
 
 
@@ -112,7 +113,8 @@ def main(argv=None) -> int:
 
     if args.check:
         baseline = json.loads(pathlib.Path(args.check).read_text())
-        floor = baseline["cell_slots_per_s"] * (1.0 - args.tolerance)
+        floor = scaled_floor(baseline["cell_slots_per_s"], baseline,
+                             payload["machine_reference"], args.tolerance)
         ratio = cell_slots_per_s / baseline["cell_slots_per_s"]
         payload["baseline_cell_slots_per_s"] = \
             baseline["cell_slots_per_s"]
@@ -124,7 +126,7 @@ def main(argv=None) -> int:
                   f"{baseline.get('machine_reference')} vs "
                   f"{payload['machine_reference']}); "
                   f"current/baseline = {ratio:.2f}x, "
-                  f"floor {floor:,.0f} cell-slots/s")
+                  f"machine-scaled floor {floor:,.0f} cell-slots/s")
         if cell_slots_per_s < floor:
             print("FAIL: elastic-path throughput regressed beyond "
                   f"{args.tolerance:.0%} budget", file=sys.stderr)

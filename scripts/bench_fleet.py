@@ -11,7 +11,8 @@ slots/s.  Two modes:
   single-core figure comparable across machines of one class);
 * CI guard — ``--check results/bench_fleet_baseline.json`` fails when
   throughput regresses more than ``--tolerance`` below the recorded
-  baseline; ``--write-baseline`` records the current tree.
+  baseline, scaled to this host by :func:`repro.bench.scaled_floor`;
+  ``--write-baseline`` records the current tree.
 
 The guard also re-checks the fleet determinism contract on every run:
 the per-cell digests of the sharded run must equal the unsharded
@@ -29,7 +30,7 @@ import time
 sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "src"))
 
-from repro.bench import calibrate_reference  # noqa: E402
+from repro.bench import calibrate_reference, scaled_floor  # noqa: E402
 from repro.fleet import FleetScenario, Planner  # noqa: E402
 
 
@@ -107,7 +108,8 @@ def main(argv=None) -> int:
 
     if args.check:
         baseline = json.loads(pathlib.Path(args.check).read_text())
-        floor = baseline["cell_slots_per_s"] * (1.0 - args.tolerance)
+        floor = scaled_floor(baseline["cell_slots_per_s"], baseline,
+                             payload["machine_reference"], args.tolerance)
         ratio = cell_slots_per_s / baseline["cell_slots_per_s"]
         payload["baseline_cell_slots_per_s"] = \
             baseline["cell_slots_per_s"]
@@ -119,7 +121,7 @@ def main(argv=None) -> int:
                   f"{baseline.get('machine_reference')} vs "
                   f"{payload['machine_reference']}); "
                   f"current/baseline = {ratio:.2f}x, "
-                  f"floor {floor:,.0f} cell-slots/s")
+                  f"machine-scaled floor {floor:,.0f} cell-slots/s")
         if cell_slots_per_s < floor:
             print("FAIL: fleet-path throughput regressed beyond "
                   f"{args.tolerance:.0%} budget", file=sys.stderr)

@@ -24,9 +24,11 @@ same process seconds apart, so their ratio is machine-load-free; the
 guard only trips if the reusable path stops being at least as fast as
 the churn path (minus the tolerance).
 
-The recorded baseline carries the machine's single-core reference so
-wildly different hardware is flagged rather than silently failed; CI
-runners of the same class are comparable within the tolerance.
+The recorded baseline carries the machine's single-core reference.
+Every absolute throughput floor (here and in ``scripts/bench_fleet.py``
+and ``scripts/bench_elastic.py``) goes through :func:`scaled_floor`,
+which scales the recorded rate by the ratio of this host's reference to
+the baseline's, so a slower host is not failed for being slower.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ import time
 
 __all__ = [
     "calibrate_reference",
+    "scaled_floor",
     "timed_run",
     "engine_microbench",
     "profile_hotpath",
@@ -69,15 +72,31 @@ ARRAY_KERNEL_MIN_SHARE = 0.5
 def calibrate_reference() -> float:
     """Cheap single-core reference score (higher = faster machine).
 
-    A fixed pure-Python workload, timed: used only to annotate
-    baselines so cross-machine comparisons can be recognized.
+    A fixed pure-Python workload, timed best-of-3 so one descheduled
+    run does not pass for a slow machine.  Baselines record it, and
+    :func:`scaled_floor` compares hosts by it.
     """
-    start = time.perf_counter()
-    acc = 0
-    for i in range(2_000_000):
-        acc += i * 3 // 7
-    wall = time.perf_counter() - start
-    return round(1.0 / wall, 3)
+    walls = []
+    for _ in range(3):
+        start = time.perf_counter()
+        acc = 0
+        for i in range(2_000_000):
+            acc += i * 3 // 7
+        walls.append(time.perf_counter() - start)
+    return round(1.0 / min(walls), 3)
+
+
+def scaled_floor(rate: float, baseline: dict, current_reference: float,
+                 tolerance: float) -> float:
+    """Lowest acceptable throughput for ``rate``, recorded in ``baseline``.
+
+    The recorded rate is scaled by ``current_reference`` over the
+    baseline's ``machine_reference`` (unscaled when the baseline has
+    none), then lowered by ``tolerance``.
+    """
+    recorded = baseline.get("machine_reference")
+    scale = current_reference / recorded if recorded else 1.0
+    return rate * scale * (1.0 - tolerance)
 
 
 def timed_run(slots: int, seed: int,
@@ -395,7 +414,8 @@ def run_bench(args) -> int:
     status = 0
     if args.check:
         baseline = json.loads(pathlib.Path(args.check).read_text())
-        floor = baseline["slots_per_s"] * (1.0 - args.tolerance)
+        floor = scaled_floor(baseline["slots_per_s"], baseline,
+                             report["machine_reference"], args.tolerance)
         report["baseline_slots_per_s"] = baseline["slots_per_s"]
         report["floor_slots_per_s"] = round(floor, 1)
         ratio = slots_per_s / baseline["slots_per_s"]
@@ -405,7 +425,7 @@ def run_bench(args) -> int:
                   f"(machine ref {baseline.get('machine_reference')} vs "
                   f"{report['machine_reference']}); "
                   f"current/baseline = {ratio:.2f}x, "
-                  f"floor {floor:,.0f} slots/s")
+                  f"machine-scaled floor {floor:,.0f} slots/s")
         if slots_per_s < floor:
             print("FAIL: hot-path throughput regressed beyond "
                   f"{args.tolerance:.0%} budget", file=sys.stderr)
@@ -450,13 +470,16 @@ def run_bench(args) -> int:
             status = 1
         baseline_array = baseline.get("idle_kernel_array")
         if baseline_array:
-            array_floor = baseline_array["slots_per_s"] * \
-                (1.0 - args.tolerance)
+            array_floor = scaled_floor(baseline_array["slots_per_s"],
+                                       baseline,
+                                       report["machine_reference"],
+                                       args.tolerance)
             if report["idle_kernel_array"]["slots_per_s"] < array_floor:
                 print("FAIL: array-engine fig03 throughput "
                       f"{report['idle_kernel_array']['slots_per_s']:,.0f} "
                       f"slots/s below floor {array_floor:,.0f} "
-                      f"(baseline {baseline_array['slots_per_s']:,.0f}, "
+                      f"(baseline {baseline_array['slots_per_s']:,.0f} "
+                      "scaled by machine reference, "
                       f"tolerance {args.tolerance:.0%})", file=sys.stderr)
                 status = 1
         if status == 0 and not args.json:

@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from typing import Optional
 
 from . import bench
@@ -399,13 +400,19 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    from .core.training import train_predictor
+    from .core.training import collect_offline_dataset, train_predictor
 
     config = CONFIGS[args.config]()
+    start = time.perf_counter()
+    dataset = collect_offline_dataset(config, args.slots, args.seed)
+    collected = time.perf_counter()
     predictor = train_predictor(config, num_slots=args.slots,
-                                seed=args.seed)
+                                seed=args.seed, dataset=dataset)
+    fitted = time.perf_counter()
     print(f"trained {len(predictor.models)} task models "
-          f"({args.slots} profiling slots)")
+          f"({args.slots} profiling slots, {len(dataset)} samples)")
+    print(f"  walls: collect {collected - start:.2f}s, "
+          f"fit {fitted - collected:.2f}s")
     for task_type, model in sorted(predictor.models.items(),
                                    key=lambda kv: kv[0].value):
         selected = predictor.selected_features[task_type]

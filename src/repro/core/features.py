@@ -4,8 +4,8 @@ The offline phase selects, per signal-processing task, the subset of
 vRAN-state features with the most impact on the task runtime:
 
 1. rank features by **distance correlation** with the runtime
-   (Székely-Rizzo; implemented from scratch — the paper used R's
-   ``Rfast::dcor``) and keep the top ``N``;
+   (Székely-Rizzo; implemented from scratch in O(n log n) — the paper
+   used R's ``Rfast::dcor``) and keep the top ``N``;
 2. prune to ``M`` features with **backwards elimination** on a held-out
    split of an OLS model;
 3. union the result with hand-picked, domain-expert features.
@@ -13,72 +13,216 @@ vRAN-state features with the most impact on the task runtime:
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from fractions import Fraction
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 __all__ = [
+    "MAX_DCOR_SAMPLES",
     "distance_correlation",
     "rank_by_distance_correlation",
     "backwards_elimination",
     "select_features",
 ]
 
-
-def _centered_distance_matrix(v: np.ndarray) -> np.ndarray:
-    """Double-centered pairwise-distance matrix of a 1-D sample."""
-    d = np.abs(v[:, None] - v[None, :])
-    row_mean = d.mean(axis=1, keepdims=True)
-    col_mean = d.mean(axis=0, keepdims=True)
-    return d - row_mean - col_mean + d.mean()
+#: Default subsample size of the distance-correlation ranking.  The
+#: O(n log n) statistic needs no cap for speed or memory; it is kept so
+#: the subsample draws, and hence every trained model, stay the same.
+MAX_DCOR_SAMPLES = 1500
 
 
-def distance_correlation(
-    x: np.ndarray,
-    y: np.ndarray,
-    max_samples: int = 1500,
-    rng: Optional[np.random.Generator] = None,
-) -> float:
-    """Distance correlation between two 1-D samples, in [0, 1].
+class _Margin(NamedTuple):
+    """The one-sample parts of the distance statistics of a 1-D sample."""
 
-    The O(n²) statistic is computed on a random subsample when the
-    input exceeds ``max_samples`` (500 K offline samples would need a
-    2.5×10¹¹-entry matrix otherwise).
+    order: np.ndarray     # stable argsort of the sample
+    values: np.ndarray    # shifted and scaled sample, in sample order
+    row_sums: np.ndarray  # a_i. = sum_j |v_i - v_j| of values, by sample
+    total: float          # a.. = sum_i a_i.
+    dvar: Fraction        # n^4 * dVar^2_n
+
+
+def _margin(v: np.ndarray) -> Optional[_Margin]:
+    """Sort-and-prefix-sum parts of ``v``; None for a constant sample.
+
+    Distances are invariant to shift and positive scale, so the sample
+    is shifted to its middle sample point and scaled by a power of two.
+    Both are exact for integer-valued and near-equal samples and keep
+    the prefix sums free of large-offset cancellation.
     """
+    n = len(v)
+    order = np.argsort(v, kind="stable")
+    ordered = v[order]
+    span = ordered[-1] - ordered[0]
+    if span == 0:
+        return None
+    exponent = int(np.frexp(span)[1])
+    values = np.ldexp(v - ordered[n // 2], -exponent)
+    ordered = values[order]
+    # sum_j |x_k - x_j| over the sorted sample: the k points below x_k
+    # and the n - k - 1 above it, from exclusive prefix sums.
+    below = np.cumsum(ordered) - ordered
+    value_sum = below[-1] + ordered[-1]
+    row_sums = np.empty(n)
+    row_sums[order] = (ordered * (2 * np.arange(n) - n)
+                       + (value_sum - 2 * below))
+    a_total = float(row_sums.sum())
+    # dVar is dCov of the sample with itself: S = sum_ij (x_i - x_j)^2.
+    self_cross = (2 * n * float(values @ values)
+                  - 2 * float(value_sum) ** 2)
+    dvar = _scaled_dcov2(n, self_cross, float(row_sums @ row_sums),
+                         a_total, a_total)
+    return _Margin(order, values, row_sums, a_total, dvar)
+
+
+def _scaled_dcov2(n: int, cross: float, row_dot: float,
+                  a_total: float, b_total: float) -> Fraction:
+    """``n^4 * dCov^2_n`` from its parts, combined in exact arithmetic.
+
+    ``dCov^2_n = S/n^2 - 2 sum_i a_i. b_i. / n^3 + a.. b.. / n^4`` with
+    ``S = sum_ij |x_i - x_j| |y_i - y_j|``.  The three terms cancel to
+    zero when the sample's joint distribution factorizes, so they are
+    added as exact rationals: the only rounding left is in the parts.
+    """
+    return (n * n * Fraction(cross) - 2 * n * Fraction(row_dot)
+            + Fraction(a_total) * Fraction(b_total))
+
+
+def _concordant_sum(keys: np.ndarray, xs: np.ndarray,
+                    ys: np.ndarray) -> float:
+    """``sum (x_j - x_i)(y_j - y_i)`` over ``i < j``, ``keys[i] < keys[j]``.
+
+    ``keys`` is a permutation of ``0..n-1``.  Bottom-up merge-sort tree:
+    at the level with block width ``w`` every position pairs with its
+    sibling block, and each element of a right block meets the left
+    block's elements with smaller keys through prefix sums, in key
+    order, of the weights ``1, y, x, xy``.  Each pair ``i < j`` meets at
+    exactly one level, so ``log2 n`` vectorized passes cover them all.
+    The positions are padded to a power of two with keys above every
+    real key, so padding never precedes a real element in key order.
+    """
+    n = len(keys)
+    levels = (n - 1).bit_length()
+    size = 1 << levels
+    padded_keys = np.arange(size)
+    padded_keys[:n] = keys
+    # Small unsigned positions let the per-level stable sort by block
+    # pair run as a radix sort.
+    by_key = np.argsort(padded_keys).astype(np.min_scalar_type(size - 1))
+    px = np.zeros(size)
+    px[:n] = xs
+    py = np.zeros(size)
+    py[:n] = ys
+    total = 0.0
+    for level in range(levels):
+        # Positions grouped by block pair, in key order within a pair.
+        position = by_key[np.argsort(by_key >> (level + 1), kind="stable")]
+        right = (position >> level) & 1 == 1
+        x = px[position]
+        y = py[position]
+        left = (~right).astype(np.float64)
+        below = np.cumsum(
+            np.stack((left, left * y, left * x, left * x * y))
+            .reshape(4, -1, 2 << level), axis=2).reshape(4, -1)
+        pairs = x * y * below[0] - x * below[1] - y * below[2] + below[3]
+        total += float(pairs[right & (position < n)].sum())
+    return total
+
+
+def _cross_sum(x: _Margin, y: _Margin) -> float:
+    """``S = sum_ij |x_i - x_j| |y_i - y_j|`` in O(n log n).
+
+    In x order, a pair ``i < j`` contributes ``(x_j - x_i)(y_j - y_i)``
+    with the sign of ``y_j - y_i``: the pairs concordant in y count
+    positively, the rest negatively.  Summed over all pairs that
+    product is ``n sum xy - sum x sum y``, so ``S/2`` is twice the
+    concordant sum minus that.  Ties in either coordinate contribute
+    zero, so stable y ranks serve as keys.
+    """
+    n = len(x.order)
+    ranks = np.empty(n, dtype=np.intp)
+    ranks[y.order] = np.arange(n)
+    xs = x.values[x.order]
+    ys = y.values[x.order]
+    concordant = _concordant_sum(ranks[x.order], xs, ys)
+    every_pair = n * float(xs @ ys) - float(xs.sum()) * float(ys.sum())
+    return 2.0 * (2.0 * concordant - every_pair)
+
+
+def _dcor(x: Optional[_Margin], y: Optional[_Margin]) -> float:
+    """Distance correlation from two margins (None: a constant sample)."""
+    if x is None or y is None:
+        return 0.0
+    n = len(x.order)
+    dcov = _scaled_dcov2(n, _cross_sum(x, y),
+                         float(x.row_sums @ y.row_sums), x.total, y.total)
+    if dcov <= 0:
+        return 0.0
+    dcor2 = float(dcov) / np.sqrt(float(x.dvar) * float(y.dvar))
+    return float(min(1.0, np.sqrt(dcor2)))
+
+
+def _samples(x, y) -> tuple[np.ndarray, np.ndarray]:
     x = np.asarray(x, dtype=np.float64).ravel()
     y = np.asarray(y, dtype=np.float64).ravel()
     if len(x) != len(y):
         raise ValueError("x and y must have the same length")
     if len(x) < 2:
         raise ValueError("need at least two samples")
+    return x, y
+
+
+def distance_correlation(
+    x: np.ndarray,
+    y: np.ndarray,
+    max_samples: int = MAX_DCOR_SAMPLES,
+    rng: Optional[np.random.Generator] = None,
+) -> float:
+    """Distance correlation between two 1-D samples, in [0, 1].
+
+    The exact V-statistic of Székely, Rizzo & Bakirov, computed in
+    O(n log n) time and O(n) memory with the sort-based algorithm of
+    Huo & Székely ("Fast computing for distance covariance",
+    Technometrics 2016).  A constant sample gives exactly 0.0.
+
+    Inputs longer than ``max_samples`` are first subsampled with one
+    ``rng.choice`` draw (a fresh ``default_rng(0)`` when ``rng`` is
+    None).  Speed and memory no longer need that cap; it stays so the
+    draws, the selected features and every trained model remain
+    identical to those of the earlier O(n^2) statistic.
+    """
+    x, y = _samples(x, y)
     if len(x) > max_samples:
         rng = rng if rng is not None else np.random.default_rng(0)
         idx = rng.choice(len(x), size=max_samples, replace=False)
         x, y = x[idx], y[idx]
-    a = _centered_distance_matrix(x)
-    b = _centered_distance_matrix(y)
-    dcov2 = float((a * b).mean())
-    dvar_x = float((a * a).mean())
-    dvar_y = float((b * b).mean())
-    if dvar_x <= 0 or dvar_y <= 0:
-        return 0.0
-    dcor2 = dcov2 / np.sqrt(dvar_x * dvar_y)
-    return float(np.sqrt(max(0.0, dcor2)))
+    return _dcor(_margin(x), _margin(y))
 
 
 def rank_by_distance_correlation(
     X: np.ndarray,
     y: np.ndarray,
     top_n: int,
-    max_samples: int = 1500,
+    max_samples: int = MAX_DCOR_SAMPLES,
     rng: Optional[np.random.Generator] = None,
 ) -> list[int]:
-    """Indices of the ``top_n`` features most dCor-correlated with y."""
+    """Indices of the ``top_n`` features most dCor-correlated with y.
+
+    Without subsampling, the target's sort and row sums are computed
+    once and shared by every feature.
+    """
     X = np.asarray(X, dtype=np.float64)
-    scores = [
-        distance_correlation(X[:, j], y, max_samples=max_samples, rng=rng)
-        for j in range(X.shape[1])
-    ]
+    y = np.asarray(y, dtype=np.float64).ravel()
+    if len(y) > max_samples:
+        scores = [
+            distance_correlation(X[:, j], y, max_samples=max_samples,
+                                 rng=rng)
+            for j in range(X.shape[1])
+        ]
+    else:
+        columns = [_samples(X[:, j], y)[0] for j in range(X.shape[1])]
+        target = _margin(y)
+        scores = [_dcor(_margin(column), target) for column in columns]
     order = np.argsort(scores)[::-1]
     return [int(j) for j in order[:top_n]]
 
@@ -134,7 +278,7 @@ def select_features(
     handpicked: Sequence[int] = (),
     top_n: int = 8,
     keep_m: int = 5,
-    max_samples: int = 1500,
+    max_samples: int = MAX_DCOR_SAMPLES,
     rng: Optional[np.random.Generator] = None,
 ) -> list[int]:
     """Algorithm 1's feature pipeline: dCor top-N -> back-elim M -> ∪ hand."""

@@ -64,6 +64,7 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "task models" in out
         assert "ldpc_decode" in out
+        assert "walls: collect" in out and "s, fit " in out
 
     def test_figure_smoke(self, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_SCALE", "0.02")

@@ -15,13 +15,19 @@ mismatch means a behavioural regression, not a stale test.  Only an
 intentional model/semantics change may regenerate them (with
 ``python -m tests.test_determinism`` printing the current values).
 
-The ``concordia`` (ML) policy is excluded: its predictor's disk cache
-makes run-to-run digests environment-dependent.  ``concordia-noml``
-exercises the identical pool/scheduler fast path without training.
+The ``concordia`` (ML) policy has a golden of its own
+(:class:`TestConcordiaMlGolden`).  It trains its predictor explicitly
+at a fixed profiling budget, with no disk cache and no ``REPRO_SCALE``
+dependence, so the digest pins the whole offline phase (dataset,
+distance-correlation ranking, backwards elimination, quantile trees)
+as well as the online policy.  ``concordia-noml`` exercises the same
+pool/scheduler fast path without training.
 """
 
 import json
 
+from repro.core.features import MAX_DCOR_SAMPLES
+from repro.core.training import collect_offline_dataset, train_predictor
 from repro.exec import run_batch
 from repro.exec.digest import result_digest
 from repro.experiments.common import make_spec
@@ -54,6 +60,34 @@ GOLDEN_DIGESTS = {
         "a3296113bb9479bbb30b7b5150ddea5c40ab06fc48c8ec4e6ecd548f3c1ace89",
 }
 
+#: ML golden: profiling slots for the explicit predictor fit.  At this
+#: budget LDPC_ENCODE collects more samples than the distance-correlation
+#: subsample cap and every other task type fewer, so both ranking paths
+#: (subsampled with RNG draws, and full-sample) feed the digest.
+ML_TRAINING_SLOTS = 30
+#: SHA-256 of the ``concordia``/redis result (load 0.5, seed 11, 80
+#: slots) driven by that predictor.
+GOLDEN_ML_DIGEST = \
+    "af5d6f2009d15087cfc77bde4d7a7089d782018a4b1efb58ce28ca51737ab1f5"
+#: Task type -> selected feature columns of the same predictor.
+GOLDEN_ML_FEATURES = {
+    "channel_estimation": [0, 1, 3, 5, 10, 11],
+    "crc_attach": [0, 1, 3, 5, 7, 10],
+    "crc_check": [0, 1, 2, 4, 5, 10],
+    "demodulation": [0, 1, 4, 5, 6, 10, 11],
+    "descrambling": [0, 1, 2, 4, 5, 6, 10, 11],
+    "equalization": [0, 1, 3, 5, 10, 11],
+    "fft": [1, 2, 4, 5, 6, 10, 13],
+    "ifft": [1, 4, 5, 7, 10, 13, 14],
+    "ldpc_decode": [0, 1, 2, 5, 7, 10],
+    "ldpc_encode": [0, 1, 3, 4, 5, 7, 10],
+    "modulation": [0, 1, 3, 5, 6, 7, 10, 11],
+    "precoding": [0, 1, 3, 4, 5, 10, 13],
+    "rate_dematch": [0, 1, 2, 3, 5, 10, 11],
+    "rate_match": [1, 5, 7, 10, 11, 13],
+    "scrambling": [0, 1, 5, 7, 10, 11, 13],
+}
+
 
 def _run_digest(policy: str, workload: str) -> str:
     scenario = Scenario(
@@ -82,6 +116,43 @@ class TestGoldenDigests:
         first = _run_digest("concordia-noml", "redis")
         second = _run_digest("concordia-noml", "redis")
         assert first == second
+
+
+def _ml_predictor():
+    """(predictor, samples per task type) at the ML golden's budget."""
+    dataset = collect_offline_dataset(pool_20mhz_7cells(),
+                                      ML_TRAINING_SLOTS, SEED)
+    predictor = train_predictor(pool_20mhz_7cells(),
+                                num_slots=ML_TRAINING_SLOTS, seed=SEED,
+                                dataset=dataset)
+    sizes = {t.value: len(dataset.samples[t][1])
+             for t in dataset.task_types()}
+    return predictor, sizes
+
+
+def _ml_digest(predictor) -> str:
+    scenario = Scenario(pool={"name": "20mhz"}, policy="concordia",
+                        workload="redis", load_fraction=0.5, seed=SEED)
+    result = build_simulation(scenario, predictor=predictor).run(SLOTS)
+    return result_digest(result)
+
+
+def _selected_features(predictor) -> dict:
+    return {t.value: list(cols)
+            for t, cols in predictor.selected_features.items()}
+
+
+class TestConcordiaMlGolden:
+    """The trained-predictor policy end to end, pinned to a golden."""
+
+    def test_train_and_run_match_golden(self):
+        predictor, sizes = _ml_predictor()
+        assert any(n > MAX_DCOR_SAMPLES for n in sizes.values()), sizes
+        assert any(n <= MAX_DCOR_SAMPLES for n in sizes.values()), sizes
+        assert _selected_features(predictor) == GOLDEN_ML_FEATURES
+        assert _ml_digest(predictor) == GOLDEN_ML_DIGEST, (
+            "concordia (ML) digest drifted from the golden "
+            "(behavioural regression)")
 
 
 def _fleet_digests(shards: int, jobs: int = 1) -> dict:
@@ -138,4 +209,7 @@ if __name__ == "__main__":  # pragma: no cover — golden regeneration aid
     }
     payload = {f"{p}/{w}": d for (p, w), d in current.items()}
     payload["fleet"] = combined_digest(_fleet_digests(shards=1))
+    ml_predictor, _ = _ml_predictor()
+    payload["concordia/redis"] = _ml_digest(ml_predictor)
+    payload["concordia/features"] = _selected_features(ml_predictor)
     print(json.dumps(payload, indent=2))

@@ -1,5 +1,7 @@
 """Tests for feature selection (distance correlation, backwards elimination)."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,62 @@ from repro.core.features import (
     rank_by_distance_correlation,
     select_features,
 )
+
+
+def _reference_dcor(x, y) -> float:
+    """Textbook O(n^2) distance correlation in exact arithmetic.
+
+    Every float is a dyadic rational, so scaling a sample by a common
+    power of two makes it integer.  The double-centred distance
+    matrices, times ``n^2``, are then formed exactly as Python integers,
+    and the only rounding is the final conversion to float.
+    """
+    def integers(v):
+        ratios = [float(t).as_integer_ratio() for t in v]
+        scale = max(den for _, den in ratios)
+        return np.array([num * (scale // den) for num, den in ratios],
+                        dtype=object)
+
+    def centred(v):
+        n = len(v)
+        d = abs(v[:, None] - v[None, :])
+        rows = d.sum(axis=1)
+        return n * n * d - n * rows[:, None] - n * rows[None, :] + rows.sum()
+
+    a = centred(integers(x))
+    b = centred(integers(y))
+    dvar_x = int((a * a).sum())
+    dvar_y = int((b * b).sum())
+    if dvar_x == 0 or dvar_y == 0:
+        return 0.0
+    dcov = int((a * b).sum())
+    return float(Fraction(dcov * dcov, dvar_x * dvar_y)) ** 0.25
+
+
+def _column(draw, n: int, rng: np.random.Generator) -> np.ndarray:
+    kind = draw(st.sampled_from(("ties", "constant", "normal", "offset")))
+    if kind == "ties":
+        return rng.integers(0, draw(st.integers(1, 4)), n).astype(float)
+    if kind == "constant":
+        return np.full(n, draw(st.floats(-1e3, 1e3)))
+    if kind == "normal":
+        return rng.normal(0.0, draw(st.floats(1e-3, 1e3)), n)
+    return 1e6 + rng.normal(0.0, 1.0, n)
+
+
+@st.composite
+def _samples(draw):
+    """(x, y): tied, constant, continuous and large-offset columns, with
+    y sometimes an affine copy of x."""
+    n = draw(st.integers(2, 400))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = _column(draw, n, rng)
+    if draw(st.booleans()):
+        y = _column(draw, n, rng)
+    else:
+        slope = draw(st.sampled_from((-3.0, -0.5, 0.1, 1.0, 7.0)))
+        y = slope * x + draw(st.floats(-1e3, 1e3))
+    return x, y
 
 
 class TestDistanceCorrelation:
@@ -63,6 +121,37 @@ class TestDistanceCorrelation:
         assert forward == pytest.approx(backward, abs=1e-9)
 
 
+class TestAgainstQuadraticReference:
+    @given(_samples())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_exact_quadratic_statistic(self, sample):
+        x, y = sample
+        fast = distance_correlation(x, y)
+        assert abs(fast - _reference_dcor(x, y)) <= 1e-9
+        assert abs(fast - distance_correlation(y, x)) <= 1e-9
+        assert 0.0 <= fast <= 1.0
+        if np.ptp(x) == 0 or np.ptp(y) == 0:
+            assert fast == 0.0
+
+    @given(st.lists(st.tuples(st.integers(-50, 50), st.integers(1, 5)),
+                    min_size=2, max_size=4, unique_by=lambda t: t[0]),
+           st.lists(st.tuples(st.integers(-50, 50), st.integers(1, 5)),
+                    min_size=2, max_size=4, unique_by=lambda t: t[0]))
+    @settings(max_examples=60, deadline=None)
+    def test_factorized_sample_gives_exactly_zero(self, x_levels, y_levels):
+        # Every (x, y) cell holds count(x) * count(y) samples, so the
+        # empirical joint distribution is the product of its marginals
+        # and the statistic is exactly zero.  Non-dyadic means make a
+        # mean-centred float computation miss that by up to ~1e-8.
+        x, y = [], []
+        for xv, xc in x_levels:
+            for yv, yc in y_levels:
+                x += [float(xv)] * (xc * yc)
+                y += [float(yv)] * (xc * yc)
+        assert _reference_dcor(x, y) == 0.0
+        assert distance_correlation(x, y) == 0.0
+
+
 class TestRanking:
     def test_relevant_features_rank_first(self):
         rng = np.random.default_rng(3)
@@ -71,6 +160,40 @@ class TestRanking:
         y = 10 * X[:, 2] + 3 * X[:, 4] + rng.normal(0, 0.05, n)
         top = rank_by_distance_correlation(X, y, top_n=2)
         assert set(top) == {2, 4}
+
+    def test_full_sample_path_matches_per_feature_calls(self):
+        rng = np.random.default_rng(10)
+        X = rng.integers(0, 6, size=(400, 6)).astype(float)
+        X[:, 3] = 2.0
+        y = X[:, 1] * X[:, 4] + rng.normal(0, 0.5, 400)
+        scores = [distance_correlation(X[:, j], y) for j in range(6)]
+        expected = [int(j) for j in np.argsort(scores)[::-1]]
+        assert rank_by_distance_correlation(X, y, top_n=6) == expected
+
+    def test_subsample_path_draws_once_per_feature(self):
+        # The byte-identity contract of trained models: one
+        # rng.choice(n, max_samples, replace=False) per feature and
+        # nothing else from the stream.
+        rng = np.random.default_rng(11)
+        n, features, cap = 900, 5, 300
+        X = rng.uniform(size=(n, features))
+        y = X[:, 0] + rng.normal(0, 0.1, n)
+        used = np.random.default_rng(12)
+        rank_by_distance_correlation(X, y, top_n=2, max_samples=cap,
+                                     rng=used)
+        twin = np.random.default_rng(12)
+        for _ in range(features):
+            twin.choice(n, size=cap, replace=False)
+        assert used.bit_generator.state == twin.bit_generator.state
+
+    def test_full_sample_path_draws_nothing(self):
+        rng = np.random.default_rng(13)
+        X = rng.uniform(size=(200, 3))
+        used = np.random.default_rng(14)
+        before = used.bit_generator.state
+        rank_by_distance_correlation(X, X[:, 0], top_n=1, max_samples=200,
+                                     rng=used)
+        assert used.bit_generator.state == before
 
 
 class TestBackwardsElimination:
