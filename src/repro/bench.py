@@ -72,18 +72,15 @@ ARRAY_KERNEL_MIN_SHARE = 0.5
 def calibrate_reference() -> float:
     """Cheap single-core reference score (higher = faster machine).
 
-    A fixed pure-Python workload, timed best-of-3 so one descheduled
-    run does not pass for a slow machine.  Baselines record it, and
+    A fixed pure-Python workload, timed: baselines record it, and
     :func:`scaled_floor` compares hosts by it.
     """
-    walls = []
-    for _ in range(3):
-        start = time.perf_counter()
-        acc = 0
-        for i in range(2_000_000):
-            acc += i * 3 // 7
-        walls.append(time.perf_counter() - start)
-    return round(1.0 / min(walls), 3)
+    start = time.perf_counter()
+    acc = 0
+    for i in range(2_000_000):
+        acc += i * 3 // 7
+    wall = time.perf_counter() - start
+    return round(1.0 / wall, 3)
 
 
 def scaled_floor(rate: float, baseline: dict, current_reference: float,

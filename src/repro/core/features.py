@@ -92,31 +92,31 @@ def _concordant_sum(keys: np.ndarray, xs: np.ndarray,
                     ys: np.ndarray) -> float:
     """``sum (x_j - x_i)(y_j - y_i)`` over ``i < j``, ``keys[i] < keys[j]``.
 
-    ``keys`` is a permutation of ``0..n-1``.  Bottom-up merge-sort tree:
-    at the level with block width ``w`` every position pairs with its
-    sibling block, and each element of a right block meets the left
-    block's elements with smaller keys through prefix sums, in key
-    order, of the weights ``1, y, x, xy``.  Each pair ``i < j`` meets at
-    exactly one level, so ``log2 n`` vectorized passes cover them all.
+    ``keys`` is a permutation of ``0..n-1``.  Merge-sort tree: at the
+    level with block width ``w`` every position pairs with its sibling
+    block, and each element of a right block meets the left block's
+    elements with smaller keys through prefix sums, in key order, of
+    the weights ``1, y, x, xy``.  Each pair ``i < j`` meets at exactly
+    one level, so ``log2 n`` vectorized O(n) passes cover them all.
     The positions are padded to a power of two with keys above every
-    real key, so padding never precedes a real element in key order.
+    real key, so padding never precedes a real element in key order,
+    and every block is full.
     """
     n = len(keys)
     levels = (n - 1).bit_length()
     size = 1 << levels
     padded_keys = np.arange(size)
     padded_keys[:n] = keys
-    # Small unsigned positions let the per-level stable sort by block
-    # pair run as a radix sort.
-    by_key = np.argsort(padded_keys).astype(np.min_scalar_type(size - 1))
+    # All positions in key order: the one block pair of the top level.
+    position = np.empty(size, dtype=np.intp)
+    position[padded_keys] = np.arange(size)
     px = np.zeros(size)
     px[:n] = xs
     py = np.zeros(size)
     py[:n] = ys
-    total = 0.0
-    for level in range(levels):
+    level_sums = []
+    for level in reversed(range(levels)):
         # Positions grouped by block pair, in key order within a pair.
-        position = by_key[np.argsort(by_key >> (level + 1), kind="stable")]
         right = (position >> level) & 1 == 1
         x = px[position]
         y = py[position]
@@ -125,7 +125,18 @@ def _concordant_sum(keys: np.ndarray, xs: np.ndarray,
             np.stack((left, left * y, left * x, left * x * y))
             .reshape(4, -1, 2 << level), axis=2).reshape(4, -1)
         pairs = x * y * below[0] - x * below[1] - y * below[2] + below[3]
-        total += float(pairs[right & (position < n)].sum())
+        level_sums.append(float(pairs[right & (position < n)].sum()))
+        # Split every pair into its two blocks, keeping key order: each
+        # block is full, so both halves reshape to one row per pair.
+        pairs_of = position.reshape(-1, 2 << level)
+        sides = right.reshape(pairs_of.shape)
+        position = np.stack(
+            (pairs_of[~sides].reshape(-1, 1 << level),
+             pairs_of[sides].reshape(-1, 1 << level)), axis=1).reshape(-1)
+    # Summed finest level first, the order of a bottom-up walk.
+    total = 0.0
+    for level_sum in reversed(level_sums):
+        total += level_sum
     return total
 
 
@@ -206,23 +217,12 @@ def rank_by_distance_correlation(
     max_samples: int = MAX_DCOR_SAMPLES,
     rng: Optional[np.random.Generator] = None,
 ) -> list[int]:
-    """Indices of the ``top_n`` features most dCor-correlated with y.
-
-    Without subsampling, the target's sort and row sums are computed
-    once and shared by every feature.
-    """
+    """Indices of the ``top_n`` features most dCor-correlated with y."""
     X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64).ravel()
-    if len(y) > max_samples:
-        scores = [
-            distance_correlation(X[:, j], y, max_samples=max_samples,
-                                 rng=rng)
-            for j in range(X.shape[1])
-        ]
-    else:
-        columns = [_samples(X[:, j], y)[0] for j in range(X.shape[1])]
-        target = _margin(y)
-        scores = [_dcor(_margin(column), target) for column in columns]
+    scores = [
+        distance_correlation(X[:, j], y, max_samples=max_samples, rng=rng)
+        for j in range(X.shape[1])
+    ]
     order = np.argsort(scores)[::-1]
     return [int(j) for j in order[:top_n]]
 

@@ -161,15 +161,6 @@ class TestRanking:
         top = rank_by_distance_correlation(X, y, top_n=2)
         assert set(top) == {2, 4}
 
-    def test_full_sample_path_matches_per_feature_calls(self):
-        rng = np.random.default_rng(10)
-        X = rng.integers(0, 6, size=(400, 6)).astype(float)
-        X[:, 3] = 2.0
-        y = X[:, 1] * X[:, 4] + rng.normal(0, 0.5, 400)
-        scores = [distance_correlation(X[:, j], y) for j in range(6)]
-        expected = [int(j) for j in np.argsort(scores)[::-1]]
-        assert rank_by_distance_correlation(X, y, top_n=6) == expected
-
     def test_subsample_path_draws_once_per_feature(self):
         # The byte-identity contract of trained models: one
         # rng.choice(n, max_samples, replace=False) per feature and
