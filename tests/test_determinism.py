@@ -20,7 +20,10 @@ The ``concordia`` (ML) policy has a golden of its own
 at a fixed profiling budget, with no disk cache and no ``REPRO_SCALE``
 dependence, so the digest pins the whole offline phase (dataset,
 distance-correlation ranking, backwards elimination, quantile trees)
-as well as the online policy.  ``concordia-noml`` exercises the same
+as well as the online policy.  A second ML golden drives the fig. 8a
+sweep's heaviest point (``mix`` at load 1.0), once with a fresh fit and
+once with the same fit pickled through the on-disk predictor cache.
+``concordia-noml`` exercises the same
 pool/scheduler fast path without training.
 """
 
@@ -28,9 +31,10 @@ import json
 
 from repro.core.features import MAX_DCOR_SAMPLES
 from repro.core.training import collect_offline_dataset, train_predictor
-from repro.exec import run_batch
+from repro.exec import ResultCache, activated_cache, run_batch
 from repro.exec.digest import result_digest
-from repro.experiments.common import make_spec
+from repro.experiments import common
+from repro.experiments.common import get_predictor, make_spec
 from repro.fleet import FleetScenario, Planner, combined_digest
 from repro.ran.config import pool_20mhz_7cells
 from repro.scenario import Scenario, build_simulation
@@ -69,6 +73,12 @@ ML_TRAINING_SLOTS = 30
 #: slots) driven by that predictor.
 GOLDEN_ML_DIGEST = \
     "af5d6f2009d15087cfc77bde4d7a7089d782018a4b1efb58ce28ca51737ab1f5"
+#: SHA-256 of the ``concordia``/mix result (load 1.0, seed 11, 40
+#: slots) driven by the same predictor: the fig. 8a sweep's heaviest
+#: grid point, where every slot calls the predictor for each task.
+ML_MIX_SLOTS = 40
+GOLDEN_ML_MIX_DIGEST = \
+    "2a9af39a0ad35cb4ca7520f19c0f8efc55caa26b5b4212ff230b01df2c5ff818"
 #: Task type -> selected feature columns of the same predictor.
 GOLDEN_ML_FEATURES = {
     "channel_estimation": [0, 1, 3, 5, 10, 11],
@@ -130,11 +140,17 @@ def _ml_predictor():
     return predictor, sizes
 
 
-def _ml_digest(predictor) -> str:
+def _ml_digest(predictor, workload: str = "redis", load: float = 0.5,
+               slots: int = SLOTS) -> str:
     scenario = Scenario(pool={"name": "20mhz"}, policy="concordia",
-                        workload="redis", load_fraction=0.5, seed=SEED)
-    result = build_simulation(scenario, predictor=predictor).run(SLOTS)
+                        workload=workload, load_fraction=load, seed=SEED)
+    result = build_simulation(scenario, predictor=predictor).run(slots)
     return result_digest(result)
+
+
+def _ml_mix_digest(predictor) -> str:
+    return _ml_digest(predictor, workload="mix", load=1.0,
+                      slots=ML_MIX_SLOTS)
 
 
 def _selected_features(predictor) -> dict:
@@ -153,6 +169,29 @@ class TestConcordiaMlGolden:
         assert _ml_digest(predictor) == GOLDEN_ML_DIGEST, (
             "concordia (ML) digest drifted from the golden "
             "(behavioural regression)")
+
+    def test_mix_full_load_matches_golden(self):
+        predictor, _ = _ml_predictor()
+        assert _ml_mix_digest(predictor) == GOLDEN_ML_MIX_DIGEST, (
+            "concordia (ML) mix/1.0 digest drifted from the golden "
+            "(behavioural regression)")
+
+    def test_disk_cached_predictor_matches_golden(self, tmp_path,
+                                                  monkeypatch):
+        """A predictor pickled by the experiment-side cache and loaded
+        back in a cold process drives the same run as a fresh fit."""
+        monkeypatch.setattr(common, "_PREDICTOR_CACHE", {})
+        config = pool_20mhz_7cells()
+        with activated_cache(ResultCache(tmp_path)):
+            trained = get_predictor(config, seed=SEED,
+                                    num_slots=ML_TRAINING_SLOTS)
+            common._PREDICTOR_CACHE.clear()
+            reloaded = get_predictor(config, seed=SEED,
+                                     num_slots=ML_TRAINING_SLOTS)
+        assert reloaded is not trained
+        assert len(list(tmp_path.rglob("*.pkl"))) == 1
+        assert _selected_features(reloaded) == GOLDEN_ML_FEATURES
+        assert _ml_mix_digest(reloaded) == GOLDEN_ML_MIX_DIGEST
 
 
 def _fleet_digests(shards: int, jobs: int = 1) -> dict:
@@ -211,5 +250,7 @@ if __name__ == "__main__":  # pragma: no cover — golden regeneration aid
     payload["fleet"] = combined_digest(_fleet_digests(shards=1))
     ml_predictor, _ = _ml_predictor()
     payload["concordia/redis"] = _ml_digest(ml_predictor)
+    # Online buffers carry state across runs: fit afresh for each one.
+    payload["concordia/mix"] = _ml_mix_digest(_ml_predictor()[0])
     payload["concordia/features"] = _selected_features(ml_predictor)
     print(json.dumps(payload, indent=2))
