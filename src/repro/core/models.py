@@ -58,6 +58,43 @@ class WcetModel(abc.ABC):
     def observe(self, x: np.ndarray, runtime: float) -> None:
         """Online phase: fold in one observed runtime."""
 
+    # -- route once: predict and observe one task with a shared handle -------
+
+    def bind_columns(self, columns) -> None:
+        """Record which columns of a full feature row :meth:`fit` saw.
+
+        After this, :meth:`route` takes full rows.
+        """
+        self._columns = list(columns)
+
+    def route(self, features: np.ndarray):
+        """Handle for one full feature row.
+
+        :meth:`predict_routed` reads the handle, and its
+        ``push(runtime)`` is :meth:`observe` of the row.  The default
+        wraps the row restricted to the fitted columns; a model whose
+        prediction depends on the row only through state it can point
+        at (a tree's leaf buffer) returns that state instead.
+        """
+        return _RoutedRow(self, features[self._columns])
+
+    def predict_routed(self, handle) -> float:
+        """:meth:`predict` for the row :meth:`route` gave ``handle`` for."""
+        return self.predict(handle.row)
+
+
+class _RoutedRow:
+    """Default :meth:`WcetModel.route` handle: one selected-column row."""
+
+    __slots__ = ("model", "row")
+
+    def __init__(self, model: WcetModel, row: np.ndarray) -> None:
+        self.model = model
+        self.row = row
+
+    def push(self, runtime: float) -> None:
+        self.model.observe(self.row, runtime)
+
 
 #: Standard-normal quantile for the paper's 1-10^-5 prediction interval.
 _Z_99999 = 4.264890793922825
@@ -306,12 +343,25 @@ class QuantileTreeWCET(WcetModel):
         return self
 
     def predict(self, x: np.ndarray) -> float:
+        return self.predict_routed(self.tree.leaves[self.tree.leaf_index(x)])
+
+    def observe(self, x: np.ndarray, runtime: float) -> None:
+        self.tree.observe(x, runtime)
+
+    def bind_columns(self, columns) -> None:
+        super().bind_columns(columns)
+        self._route_feature = self.tree.remap_features(self._columns)
+
+    def route(self, features: np.ndarray) -> RingBuffer:
+        """The leaf buffer a full feature row routes to; pushing a
+        runtime into it is the online training step."""
+        tree = self.tree
+        return tree.leaves[tree.leaf_index(features, self._route_feature)]
+
+    def predict_routed(self, leaf: RingBuffer) -> float:
         try:
-            return self.tree.predict_wcet(x)
+            return leaf.max()
         except ValueError:
             # Empty leaf buffer (fresh online phase): fall back to the
             # most pessimistic offline observation.
             return self._global_max
-
-    def observe(self, x: np.ndarray, runtime: float) -> None:
-        self.tree.observe(x, runtime)

@@ -9,6 +9,11 @@ feature vector to a leaf and returns the max of the leaf's ring buffer,
 and ``observe_task`` feeds observed runtimes back (Algorithm 2's
 training step), letting the leaf buffers absorb collocation-induced
 distribution shifts without re-growing the trees.
+
+Each task is routed once: ``predict_task`` keeps the leaf it reached on
+the task (``TaskInstance.wcet_route``) and ``observe_task`` pushes into
+that leaf.  Routing is deterministic and depends only on the task's
+features, so this is the leaf a second walk would reach.
 """
 
 from __future__ import annotations
@@ -120,6 +125,7 @@ class ConcordiaPredictor:
             )
             model = self._model_factory()
             model.fit(X[:, selected], y)
+            model.bind_columns(selected)
             self.models[task_type] = model
             self.selected_features[task_type] = selected
         return self
@@ -131,15 +137,16 @@ class ConcordiaPredictor:
         model = self.models.get(task.task_type)
         if model is None:
             return None
-        selected = self.selected_features[task.task_type]
         self.predictions_made += 1
-        return model.predict(task.features[selected])
+        handle = model.route(task.features)
+        task.wcet_route = handle
+        return model.predict_routed(handle)
 
     def observe_task(self, task: TaskInstance) -> None:
-        """Feed one observed runtime back into the online buffers."""
-        model = self.models.get(task.task_type)
-        if model is None or task.runtime_us is None:
+        """Feed one observed runtime back where ``predict_task`` routed
+        the task (a no-op for unmodelled or unpredicted tasks)."""
+        handle = task.wcet_route
+        if handle is None or task.runtime_us is None:
             return
-        selected = self.selected_features[task.task_type]
         self.observations_made += 1
-        model.observe(task.features[selected], task.runtime_us)
+        handle.push(task.runtime_us)

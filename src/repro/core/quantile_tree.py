@@ -14,8 +14,12 @@ with ones observed under collocation without re-growing the tree
 
 The implementation is from scratch on NumPy (the paper used
 scikit-learn offline plus generated C online; neither is needed here).
-Internal nodes are stored in flat arrays so a prediction is a simple
-loop — the predictor runs every TTI and must be cheap (Fig. 15a).
+The fitted tree is stored as flat routing tables (split feature,
+threshold, left/right child, leaf id per node) held in plain Python
+lists: the predictor walks one task per call every TTI and must be
+cheap (Fig. 15a), and a list read costs a fraction of a NumPy scalar
+index.  Batch routing (:meth:`QuantileDecisionTree.leaf_indices`) walks
+all rows level by level over array copies of the same tables.
 """
 
 from __future__ import annotations
@@ -121,12 +125,12 @@ class QuantileDecisionTree:
 
     def __init__(self, config: Optional[TreeConfig] = None) -> None:
         self.config = config if config is not None else TreeConfig()
-        # Flat-array representation filled by fit().
-        self._feature: np.ndarray = np.empty(0, dtype=np.int32)
-        self._threshold: np.ndarray = np.empty(0, dtype=np.float64)
-        self._left: np.ndarray = np.empty(0, dtype=np.int32)
-        self._right: np.ndarray = np.empty(0, dtype=np.int32)
-        self._leaf_id: np.ndarray = np.empty(0, dtype=np.int32)
+        # Flat routing tables filled by fit(); -1 marks "none".
+        self._feature: list[int] = []
+        self._threshold: list[float] = []
+        self._left: list[int] = []
+        self._right: list[int] = []
+        self._leaf_id: list[int] = []
         self.leaves: list[RingBuffer] = []
         self._fitted = False
 
@@ -183,11 +187,11 @@ class QuantileDecisionTree:
             return index
 
         visit(root)
-        self._feature = np.asarray(features, dtype=np.int32)
-        self._threshold = np.asarray(thresholds, dtype=np.float64)
-        self._left = np.asarray(lefts, dtype=np.int32)
-        self._right = np.asarray(rights, dtype=np.int32)
-        self._leaf_id = np.asarray(leaf_ids, dtype=np.int32)
+        self._feature = features
+        self._threshold = thresholds
+        self._left = lefts
+        self._right = rights
+        self._leaf_id = leaf_ids
 
     # -- routing ---------------------------------------------------------------
 
@@ -195,24 +199,59 @@ class QuantileDecisionTree:
     def num_leaves(self) -> int:
         return len(self.leaves)
 
-    def leaf_index(self, x) -> int:
-        """Index of the leaf that the feature vector ``x`` routes to."""
+    def remap_features(self, columns) -> list[int]:
+        """The split-feature table translated through ``columns``.
+
+        ``columns[j]`` is the position, in some wider vector, of the
+        ``j``-th column the tree was fitted on.  Passing the result to
+        :meth:`leaf_index` routes rows of that wider vector directly,
+        without first copying out the fitted columns.
+        """
+        return [columns[f] if f >= 0 else -1 for f in self._feature]
+
+    def leaf_index(self, x, feature: Optional[list] = None) -> int:
+        """Index of the leaf that the feature vector ``x`` routes to.
+
+        ``feature`` optionally replaces the split-feature table (see
+        :meth:`remap_features`); thresholds and topology are shared.
+        """
         if not self._fitted:
             raise RuntimeError("tree is not fitted")
+        if feature is None:
+            feature = self._feature
         node = 0
         leaf_id = self._leaf_id
-        feature = self._feature
         threshold = self._threshold
         left, right = self._left, self._right
         while leaf_id[node] < 0:
             node = left[node] if x[feature[node]] <= threshold[node] \
                 else right[node]
-        return int(leaf_id[node])
+        return leaf_id[node]
 
     def leaf_indices(self, X: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`leaf_index` over rows of ``X``."""
-        return np.array([self.leaf_index(row) for row in np.asarray(X)],
-                        dtype=np.int64)
+        """:meth:`leaf_index` of every row of ``X``.
+
+        A level-synchronous walk: each pass moves every row still at an
+        internal node one level down, so the Python loop runs once per
+        tree level rather than once per row and node.
+        """
+        if not self._fitted:
+            raise RuntimeError("tree is not fitted")
+        X = np.asarray(X)
+        feature = np.asarray(self._feature, dtype=np.intp)
+        threshold = np.asarray(self._threshold, dtype=np.float64)
+        left = np.asarray(self._left, dtype=np.intp)
+        right = np.asarray(self._right, dtype=np.intp)
+        leaf_id = np.asarray(self._leaf_id, dtype=np.int64)
+        nodes = np.zeros(len(X), dtype=np.intp)
+        active = np.flatnonzero(leaf_id[nodes] < 0)
+        while active.size:
+            at = nodes[active]
+            at = np.where(X[active, feature[at]] <= threshold[at],
+                          left[at], right[at])
+            nodes[active] = at
+            active = active[leaf_id[at] < 0]
+        return leaf_id[nodes]
 
     # -- online phase ----------------------------------------------------------
 

@@ -419,6 +419,7 @@ class DagBuilder:
             task.finish_time = None
             task.runtime_us = None
             task.predicted_wcet_us = None
+            task.wcet_route = None
             task.path_us = 0.0
             task.task_id = next(self._task_ids)
             task.task_type = task_type

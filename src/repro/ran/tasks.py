@@ -172,6 +172,13 @@ class TaskInstance:
     #: (precomputed: the frozenset membership test costs an enum hash
     #: on every :meth:`CostModel.sample_runtime` call otherwise).
     memory_bound: bool = False
+    #: What the WCET predictor routed this task to (the leaf buffer of
+    #: a quantile tree); the online training step pushes the observed
+    #: runtime into it without routing again.  Tree models store an
+    #: object they already own: a fresh allocation per task, kept alive
+    #: here across recycling, costs about 1 MB of peak RSS on fig08a.
+    #: None until predicted; reset when the task is recycled.
+    wcet_route: Optional[object] = None
 
     def __post_init__(self) -> None:
         self.memory_bound = self.task_type.is_memory_bound

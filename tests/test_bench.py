@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bench import scaled_floor
+from repro.bench import concordia_ml_run, scaled_floor
 
 
 class TestScaledFloor:
@@ -36,3 +36,12 @@ class TestScaledFloor:
             baseline["machine_reference"] = reference
         assert scaled_floor(200.0, baseline, 3.0, 0.25) == \
             pytest.approx(150.0)
+
+
+class TestConcordiaMlRow:
+    def test_reports_throughput_and_predictor_cost(self):
+        row = concordia_ml_run(slots=10, rounds=2)
+        assert row["slots"] == 10
+        assert row["slots_per_s"] > 0
+        assert row["predictions"] > 0
+        assert row["predictor_us_per_tti"] > 0

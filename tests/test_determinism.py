@@ -179,7 +179,8 @@ class TestConcordiaMlGolden:
     def test_disk_cached_predictor_matches_golden(self, tmp_path,
                                                   monkeypatch):
         """A predictor pickled by the experiment-side cache and loaded
-        back in a cold process drives the same run as a fresh fit."""
+        back from disk (in-process memo cleared, as in a fresh worker)
+        drives the same run as a fresh fit."""
         monkeypatch.setattr(common, "_PREDICTOR_CACHE", {})
         config = pool_20mhz_7cells()
         with activated_cache(ResultCache(tmp_path)):

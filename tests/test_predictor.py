@@ -1,5 +1,7 @@
 """Tests for the Concordia predictor and offline training pipeline."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,9 @@ from repro.core.predictor import (
 )
 from repro.core.training import collect_offline_dataset, train_predictor
 from repro.ran.config import PoolConfig, cell_20mhz_fdd
-from repro.ran.tasks import NUM_FEATURES, TaskInstance, TaskType
+from repro.ran.dag import DagBuilder
+from repro.ran.tasks import CostModel, NUM_FEATURES, TaskInstance, TaskType
+from repro.ran.ue import SlotLoad
 
 
 def _synthetic_dataset(n=800, seed=0):
@@ -95,6 +99,76 @@ class TestPredictor:
         ).fit_offline(_synthetic_dataset())
         model = predictor.models[TaskType.LDPC_DECODE]
         assert isinstance(model, LinearRegressionWCET)
+
+
+class TestRouteOnce:
+    """``predict_task`` routes a task once; ``observe_task`` reuses it."""
+
+    @staticmethod
+    def _route_twice(models, selected, task):
+        """The reference: route the task afresh for each call."""
+        model = models[task.task_type]
+        x = task.features[selected[task.task_type]]
+        predicted = model.predict(x)
+        model.observe(x, task.runtime_us)
+        return predicted, model.predict(x)
+
+    @pytest.mark.parametrize("factory", [None, LinearRegressionWCET])
+    def test_predict_observe_predict_matches_route_twice(self, factory):
+        predictor = ConcordiaPredictor(model_factory=factory).fit_offline(
+            _synthetic_dataset())
+        if factory is None:
+            # Empty leaves too: the global-max fallback, then refills.
+            predictor.models[TaskType.LDPC_DECODE].tree.reset_online()
+        models = copy.deepcopy(predictor.models)
+        rng = np.random.default_rng(4)
+        for step in range(300):
+            task = _task(rng.uniform(0, 10, NUM_FEATURES))
+            task.runtime_us = float(rng.gamma(2.0, 60.0 + step))
+            first = predictor.predict_task(task)
+            predictor.observe_task(task)
+            second = predictor.predict_task(task)
+            assert (first, second) == self._route_twice(
+                models, predictor.selected_features, task)
+        assert predictor.observations_made == 300
+
+    def test_observe_without_prediction_is_a_no_op(self):
+        predictor = ConcordiaPredictor().fit_offline(_synthetic_dataset())
+        predictor.observe_task(_task(np.full(NUM_FEATURES, 5.0)))
+        assert predictor.observations_made == 0
+
+    def test_recycled_unmodelled_task_leaves_old_leaf_alone(self):
+        """A task object reused for an unmodelled type must not push its
+        runtime into the leaf its previous (modelled) use routed to."""
+        rng = np.random.default_rng(0)
+        dataset = OfflineDataset()
+        for _ in range(400):
+            features = rng.uniform(0, 10, NUM_FEATURES)
+            dataset.add(TaskType.FFT, features, 20.0 + features[0])
+        predictor = ConcordiaPredictor().fit_offline(dataset)
+        assert set(predictor.models) == {TaskType.FFT}
+        builder = DagBuilder(CostModel(rng=np.random.default_rng(0)),
+                             rng=np.random.default_rng(1))
+        cell = cell_20mhz_fdd()
+        # An idle uplink slot is a lone FFT task.
+        first = builder.build(SlotLoad(cell.name, 0, True, []), cell,
+                              0.0, 2000.0)
+        (fft,) = first.tasks
+        predictor.predict_task(fft)
+        leaf = fft.wcet_route
+        before = (len(leaf), leaf.max())
+        builder.recycle_dag(first)
+        # An idle downlink slot starts with a modulation task, built
+        # from the recycled FFT object.
+        second = builder.build(SlotLoad(cell.name, 1, False, []), cell,
+                               1000.0, 3000.0)
+        reused = second.tasks[0]
+        assert reused is fft and reused.task_type is TaskType.MODULATION
+        assert predictor.predict_task(reused) is None
+        reused.runtime_us = 1e6
+        predictor.observe_task(reused)
+        assert (len(leaf), leaf.max()) == before
+        assert predictor.observations_made == 0
 
 
 class TestTrainingPipeline:

@@ -151,3 +151,78 @@ def test_partition_property(seed):
     second = [tree.leaf_index(p) for p in probes]
     assert first == second
     assert all(0 <= leaf < tree.num_leaves for leaf in first)
+
+
+def _reference_leaf(tree, x, feature=None):
+    """Route ``x`` over NumPy copies of the routing tables, one scalar
+    index per node: the walk the list tables replaced."""
+    feature = np.asarray(tree._feature if feature is None else feature,
+                         dtype=np.int32)
+    threshold = np.asarray(tree._threshold, dtype=np.float64)
+    left = np.asarray(tree._left, dtype=np.int32)
+    right = np.asarray(tree._right, dtype=np.int32)
+    leaf_id = np.asarray(tree._leaf_id, dtype=np.int32)
+    node = 0
+    while leaf_id[node] < 0:
+        node = left[node] if x[feature[node]] <= threshold[node] \
+            else right[node]
+    return int(leaf_id[node])
+
+
+def _on_threshold_rows(tree, X):
+    """Rows of ``X`` with one split feature set exactly to its threshold
+    and to the neighbouring doubles on either side."""
+    rows = []
+    for node, f in enumerate(tree._feature):
+        if f < 0:
+            continue
+        t = tree._threshold[node]
+        for value in (t, np.nextafter(t, -np.inf), np.nextafter(t, np.inf)):
+            row = X[node % len(X)].copy()
+            row[f] = value
+            rows.append(row)
+    return np.array(rows).reshape(-1, X.shape[1])
+
+
+@given(st.integers(min_value=0, max_value=2**31 - 1),
+       st.integers(min_value=1, max_value=5),
+       st.integers(min_value=1, max_value=6),
+       st.sampled_from([5, 20, 60]),
+       st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_list_walk_matches_array_reference(seed, d, depth, min_leaf,
+                                           discrete):
+    """The list walk, the level-synchronous batch walk and a remapped
+    walk over a wider row all agree with the NumPy reference walk, also
+    on rows that land exactly on a split threshold."""
+    rng = np.random.default_rng(seed)
+    n = 400
+    X = rng.uniform(-5, 5, size=(n, d))
+    if discrete:
+        X = np.round(X)
+    y = np.sin(X).sum(axis=1) * 10 + rng.normal(0, 0.5, n)
+    tree = QuantileDecisionTree(
+        TreeConfig(max_depth=depth, min_samples_leaf=min_leaf)).fit(X, y)
+    probes = np.vstack([X[:100], rng.uniform(-8, 8, size=(50, d)),
+                        _on_threshold_rows(tree, X)])
+    expected = [_reference_leaf(tree, row) for row in probes]
+    assert [tree.leaf_index(row) for row in probes] == expected
+    batch = tree.leaf_indices(probes)
+    assert batch.dtype == np.int64
+    assert batch.tolist() == expected
+    # The fitted columns scattered into a wider row, routed in place.
+    width = d + 3
+    columns = rng.permutation(width)[:d].tolist()
+    remapped = tree.remap_features(columns)
+    wide = rng.uniform(-8, 8, size=(len(probes), width))
+    wide[:, columns] = probes
+    assert [tree.leaf_index(row, remapped) for row in wide] == expected
+    assert [_reference_leaf(tree, row, remapped) for row in wide] == expected
+
+
+def test_leaf_indices_of_no_rows():
+    X, y = _piecewise_dataset(n=300)
+    tree = QuantileDecisionTree().fit(X, y)
+    assert tree.leaf_indices(np.empty((0, 3))).tolist() == []
+    with pytest.raises(RuntimeError):
+        QuantileDecisionTree().leaf_indices(X)
