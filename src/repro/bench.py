@@ -74,12 +74,6 @@ ML_TRAINING_SLOTS = 30
 #: idle fast path stopped engaging, not statistical noise.
 IDLE_KERNEL_MIN_SHARE = 0.5
 
-#: Minimum certified-slot coverage the array-timeline kernel must
-#: reach on the same fig03-calibrated workload.  Deterministic for the
-#: same reason: below this floor the replay certification stopped
-#: engaging (a regression in the kernel or its certification gates).
-ARRAY_KERNEL_MIN_SHARE = 0.5
-
 
 def calibrate_reference() -> float:
     """Cheap single-core reference score (higher = faster machine).
@@ -108,8 +102,7 @@ def scaled_floor(rate: float, baseline: dict, current_reference: float,
     return rate * scale * (1.0 - tolerance)
 
 
-def timed_run(slots: int, seed: int,
-              engine: str = "event") -> tuple[float, object]:
+def timed_run(slots: int, seed: int) -> tuple[float, object]:
     """One Fig. 11-style simulation; returns (wall_s, result)."""
     from repro.scenario import Scenario, build_simulation
 
@@ -119,7 +112,6 @@ def timed_run(slots: int, seed: int,
         workload="redis",
         load_fraction=0.5,
         seed=seed,
-        engine_mode=engine,
     )
     simulation = build_simulation(scenario)
     start = time.perf_counter()
@@ -170,8 +162,7 @@ def concordia_ml_run(slots: int = ML_SLOTS, seed: int = 7,
     return best
 
 
-def idle_kernel_run(slots: int = IDLE_KERNEL_SLOTS, seed: int = 7,
-                    engine: str = "event") -> dict:
+def idle_kernel_run(slots: int = IDLE_KERNEL_SLOTS, seed: int = 7) -> dict:
     """Fig. 3-calibrated idle-kernel measurement.
 
     One 20 MHz cell at 2 % load: per §2.2 a single cell is idle ~75 %
@@ -179,9 +170,7 @@ def idle_kernel_run(slots: int = IDLE_KERNEL_SLOTS, seed: int = 7,
     direction and the window kernel's idle fast path should cover the
     majority of the run.  Returns the kernel coverage counters plus
     throughput (the idle fast path is what makes low-load fleets
-    cheap to simulate).  With ``engine="array"`` the same workload runs
-    through the array-timeline kernel, which should certify and replay
-    nearly every slot here.
+    cheap to simulate).
     """
     from repro.ran.config import PoolConfig, cell_20mhz_fdd
     from repro.scenario import Scenario, build_simulation
@@ -194,7 +183,6 @@ def idle_kernel_run(slots: int = IDLE_KERNEL_SLOTS, seed: int = 7,
         workload="none",
         load_fraction=0.02,
         seed=seed,
-        engine_mode=engine,
     )
     simulation = build_simulation(scenario)
     start = time.perf_counter()
@@ -210,23 +198,6 @@ def idle_kernel_run(slots: int = IDLE_KERNEL_SLOTS, seed: int = 7,
         "idle_share": round(stats["idle_slots"] / max(1, stats["slots"]),
                             3),
     }
-    if engine == "array":
-        report["array_slots"] = stats["array_slots"]
-        report["array_share"] = round(
-            stats["array_slots"] / max(1, stats["slots"]), 3)
-        report["vector_slots"] = stats["vector_slots"]
-        kernel = simulation._array_kernel
-        # Wall-clock phase breakdown of the array run: window fill
-        # (traffic/plan/DAG prebuild), closed-form vector commits,
-        # fallback heap replays, certification-gate rejects, and the
-        # end-of-run latency histogram/summary fold.
-        report["phases"] = {
-            "fill_wall_s": round(simulation.fill_wall_s, 4),
-            "vector_wall_s": round(kernel.vector_wall_s, 4),
-            "heap_wall_s": round(kernel.heap_wall_s, 4),
-            "gate_wall_s": round(kernel.gate_wall_s, 4),
-            "summary_wall_s": round(simulation.summary_wall_s, 4),
-        }
     return report
 
 
@@ -299,8 +270,7 @@ def engine_microbench(heap_depth: int = 1000,
 # -- profiling ----------------------------------------------------------------
 
 
-def profile_hotpath(slots: int, seed: int, top: int = 30,
-                    engine: str = "event") -> int:
+def profile_hotpath(slots: int, seed: int, top: int = 30) -> int:
     """Profile one run; print cProfile top-N cumulative + fast-path share."""
     import cProfile
     import io
@@ -314,7 +284,6 @@ def profile_hotpath(slots: int, seed: int, top: int = 30,
         workload="redis",
         load_fraction=0.5,
         seed=seed,
-        engine_mode=engine,
     )
     simulation = build_simulation(scenario)
     profiler = cProfile.Profile()
@@ -348,27 +317,11 @@ def profile_hotpath(slots: int, seed: int, top: int = 30,
           f"{kernel['idle_slots']} idle-batched; "
           f"ticks batched {simulation.pool.ticks_batched} in "
           f"{simulation.pool.tick_batches} gaps")
-    array_slots = kernel.get("array_slots", 0)
-    vector_slots = kernel.get("vector_slots", 0)
-    print(f"array kernel ({engine} engine): certified and replayed "
-          f"{array_slots}/{kernel['slots']} slots "
-          f"({100.0 * array_slots / max(1, kernel['slots']):.1f}%), "
-          f"{vector_slots} via the closed-form vector path")
-    # Phase breakdown of the same run (wall clock, not profiler time):
-    # where a slot's wall goes once the certified window kernel engages.
+    # Phase breakdown of the same run (wall clock, not profiler time).
     phases = [
-        ("window fill (traffic/plan/DAG prebuild)",
-         simulation.fill_wall_s),
+        ("window fill (traffic/DAG prebuild)", simulation.fill_wall_s),
         ("latency summary/histogram fold", simulation.summary_wall_s),
     ]
-    array_kernel = getattr(simulation, "_array_kernel", None)
-    if array_kernel is not None:
-        phases[1:1] = [
-            ("vector kernel (closed-form commits)",
-             array_kernel.vector_wall_s),
-            ("fallback heap replay", array_kernel.heap_wall_s),
-            ("certification-gate rejects", array_kernel.gate_wall_s),
-        ]
     print("phase breakdown:")
     for label, wall in phases:
         print(f"  {label}: {wall:.3f}s")
@@ -390,10 +343,6 @@ def add_bench_arguments(parser: argparse.ArgumentParser) -> None:
                         help="max fractional slowdown vs the baseline")
     parser.add_argument("--write-baseline", default=None,
                         help="record the current tree as baseline JSON")
-    parser.add_argument("--engine", choices=("event", "array"),
-                        default="event",
-                        help="engine for the fig11-style headline run "
-                             "(the fig03 A/B row always times both)")
     parser.add_argument("--profile", action="store_true",
                         help="cProfile one run (top-30 cumulative) "
                              "instead of timing")
@@ -403,42 +352,31 @@ def add_bench_arguments(parser: argparse.ArgumentParser) -> None:
 
 def run_bench(args) -> int:
     if args.profile:
-        return profile_hotpath(args.slots, args.seed, engine=args.engine)
+        return profile_hotpath(args.slots, args.seed)
 
     walls = []
     result = None
     for _ in range(args.rounds):
-        wall, result = timed_run(args.slots, args.seed, engine=args.engine)
+        wall, result = timed_run(args.slots, args.seed)
         walls.append(wall)
     best = min(walls)
     slots_per_s = args.slots / best
-    # Seed pinned (not args.seed) in the fig03 rows: the --check
-    # coverage guards depend on those runs being bit-reproducible.
-    # Both engines are timed back to back (best-of-rounds each) so the
-    # A/B ratio is immune to machine-load drift between reports.
-    idle_event = idle_kernel_run()
-    idle_array = idle_kernel_run(engine="array")
+    # Seed pinned (not args.seed) in the fig03 row: the --check
+    # coverage guard depends on that run being bit-reproducible.
+    idle = idle_kernel_run()
     for _ in range(args.rounds - 1):
         again = idle_kernel_run()
-        if again["wall_s"] < idle_event["wall_s"]:
-            idle_event = again
-        again = idle_kernel_run(engine="array")
-        if again["wall_s"] < idle_array["wall_s"]:
-            idle_array = again
-    idle_array["speedup_vs_event"] = round(
-        idle_event["wall_s"] / idle_array["wall_s"], 3) \
-        if idle_array["wall_s"] > 0 else 0.0
+        if again["wall_s"] < idle["wall_s"]:
+            idle = again
     report = {
         "slots": args.slots,
         "seed": args.seed,
         "rounds": args.rounds,
-        "engine": args.engine,
         "wall_s_best": round(best, 3),
         "wall_s_all": [round(w, 3) for w in walls],
         "slots_per_s": round(slots_per_s, 1),
         "p99999_us": round(result.latency.p99999_us, 1),
-        "idle_kernel": idle_event,
-        "idle_kernel_array": idle_array,
+        "idle_kernel": idle,
         "engine_microbench": engine_microbench(),
         "concordia_ml": concordia_ml_run(seed=args.seed,
                                          rounds=args.rounds),
@@ -449,17 +387,12 @@ def run_bench(args) -> int:
     if not args.json:
         micro = report["engine_microbench"]
         idle = report["idle_kernel"]
-        print(f"fig11-style hot path ({args.engine} engine): "
-              f"{args.slots} slots in "
+        print(f"fig11-style hot path: {args.slots} slots in "
               f"{best:.2f}s best-of-{args.rounds} "
               f"({slots_per_s:,.0f} slots/s)")
         print(f"fig03-style idle kernel: {idle['slots']} slots at 2% "
               f"load ({idle['slots_per_s']:,.0f} slots/s), idle fast "
               f"path covered {idle['idle_share']:.0%}")
-        print(f"fig03 array vs event: {idle_array['slots_per_s']:,.0f} "
-              f"vs {idle['slots_per_s']:,.0f} slots/s "
-              f"({idle_array['speedup_vs_event']:.2f}x), certified "
-              f"slots {idle_array['array_share']:.0%}")
         print(f"engine microbench (heap depth {micro['heap_depth']}): "
               f"schedule_after {micro['schedule_after_events_per_s']:,.0f} "
               f"ev/s, reusable timer {micro['timer_events_per_s']:,.0f} "
@@ -507,41 +440,6 @@ def run_bench(args) -> int:
                   f"fig03-calibrated workload "
                   f"(< {IDLE_KERNEL_MIN_SHARE:.0%})", file=sys.stderr)
             status = 1
-        # Same logic for the array-timeline kernel: its certified-slot
-        # share on the fixed-seed fig03 workload is deterministic, and
-        # its throughput is guarded against the baseline's array row
-        # (present in baselines written since the kernel landed).
-        if report["idle_kernel_array"]["array_share"] < \
-                ARRAY_KERNEL_MIN_SHARE:
-            print("FAIL: array-timeline kernel certified "
-                  f"{report['idle_kernel_array']['array_share']:.0%} of "
-                  f"the fig03-calibrated workload "
-                  f"(< {ARRAY_KERNEL_MIN_SHARE:.0%})", file=sys.stderr)
-            status = 1
-        # The event and array engines run back-to-back in this process
-        # (same seed, same workload), so their ratio is immune to
-        # machine-load drift: the array timeline must never lose to the
-        # per-event engine it certifies against.
-        if report["idle_kernel_array"]["speedup_vs_event"] < 1.0:
-            print("FAIL: array-timeline engine slower than the event "
-                  "engine on the fig03 workload "
-                  f"({report['idle_kernel_array']['speedup_vs_event']:.2f}x"
-                  " < 1.00x)", file=sys.stderr)
-            status = 1
-        baseline_array = baseline.get("idle_kernel_array")
-        if baseline_array:
-            array_floor = scaled_floor(baseline_array["slots_per_s"],
-                                       baseline,
-                                       report["machine_reference"],
-                                       args.tolerance)
-            if report["idle_kernel_array"]["slots_per_s"] < array_floor:
-                print("FAIL: array-engine fig03 throughput "
-                      f"{report['idle_kernel_array']['slots_per_s']:,.0f} "
-                      f"slots/s below floor {array_floor:,.0f} "
-                      f"(baseline {baseline_array['slots_per_s']:,.0f} "
-                      "scaled by machine reference, "
-                      f"tolerance {args.tolerance:.0%})", file=sys.stderr)
-                status = 1
         if status == 0 and not args.json:
             print("OK")
 

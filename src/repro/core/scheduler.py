@@ -280,161 +280,6 @@ class ConcordiaScheduler(SchedulerPolicy):
         window.append((last_time, 0))
         self._scheduling_calls.value += count
 
-    # -- array-timeline engine certification ---------------------------------------
-
-    def array_certify(self) -> bool:
-        """The array kernel may replay a slot when no DAG is in flight.
-
-        The kernel calls the *real* hooks (``on_slot_start``, the task
-        hooks, ``on_tick``/``certify_tick_run``) in exact event order,
-        so the only state that must be clean at the boundary is the
-        per-DAG registry; the demand window carries over exactly as it
-        would across an event-mode boundary.
-        """
-        return not self._states
-
-    def certify_tick_run(self, first: float, last: float,
-                         count: int) -> bool:
-        """Compress ``count`` ticks at ``first..last`` in closed form.
-
-        Between two micro-events (task start/finish, wakeup) every
-        ``_DagState`` field is frozen; only ``now`` advances.  Under
-        the conditions below each tick's :meth:`_reschedule` is then
-        provably identical — no ratchet moves, constant demand, no
-        ``request_cores`` — so the run's entire effect is one demand-
-        window append plus the scheduling-call counter:
-
-        * ``slack - path`` is non-increasing in time, so "not critical
-          at the last tick" covers every earlier tick;
-        * the per-DAG core demand ``ceil((work-path)/(slack-path))`` is
-          non-decreasing in time, so the last tick bounds the run;
-        * light-DAG utilization ``work/slack`` is V-shaped (decreasing
-          while the decayed path still exceeds remaining work, then
-          increasing), so its run maximum is at one of the endpoints.
-
-        Any condition that fails — a ratchet would move, a demand-window
-        head would age out, a wakeup is in flight, the target is not
-        fully applied — returns False and the kernel fires the ticks
-        one by one through :meth:`on_tick`.
-        """
-        pool = self.pool
-        if pool._waking:
-            return False
-        bus = pool.event_bus
-        if bus is not None and bus.enabled:
-            return False
-        ceil = math.ceil
-        tick_us = self.tick_interval_us
-        heavy_cores = 0
-        light_utilization = 0.0
-        for state in self._states.values():
-            work_us = state.work_us
-            if work_us <= 0.0:
-                return False
-            path_first = path_last = state.critical_path_us
-            if state.running > 0:
-                path_first -= first - state.computed_at
-                if path_first < 0.0:
-                    path_first = 0.0
-                path_last -= last - state.computed_at
-                if path_last < 0.0:
-                    path_last = 0.0
-            slack_first = state.deadline_us - first
-            slack_last = state.deadline_us - last
-            if slack_last - path_last <= tick_us:
-                return False  # would enter the critical stage mid-run
-            work_first = work_us if work_us > path_first else path_first
-            work_last = work_us if work_us > path_last else path_last
-            cores_last = ceil((work_last - path_last)
-                              / (slack_last - path_last))
-            if cores_last > 1:
-                cores_first = ceil((work_first - path_first)
-                                   / (slack_first - path_first))
-                if cores_first <= 1 or cores_last > state.cores_ratchet:
-                    return False  # light->heavy flip or ratchet move
-            else:
-                util_first = work_first / (slack_first
-                                           if slack_first > 1e-9 else 1e-9)
-                util_last = work_last / (slack_last
-                                         if slack_last > 1e-9 else 1e-9)
-                peak = util_first if util_first > util_last else util_last
-                if peak > state.util_ratchet:
-                    return False
-            if state.cores_ratchet > state.util_ceil:
-                heavy_cores += state.cores_ratchet
-            else:
-                light_utilization += state.util_ratchet
-        demand = heavy_cores + ceil(light_utilization)
-        window = self._demand_window
-        if window:
-            head_time, head_demand = window[0]
-            if head_demand > demand:
-                if head_time < last - self.release_hold_us:
-                    return False  # windowed max would drop mid-run
-                held = head_demand
-            else:
-                held = demand
-        else:
-            held = demand
-        target = min(pool.num_cores, max(held, self.min_standby_cores))
-        if target != pool.target_cores or pool._reserved != target:
-            return False
-        # Net window effect of `count` identical (t, demand) upserts.
-        while window and window[-1][1] <= demand:
-            window.pop()
-        window.append((last, demand))
-        self._scheduling_calls.value += count
-        return True
-
-    # -- vectorized certified-slot kernel -------------------------------------------
-
-    def vector_params(self) -> Optional[dict]:
-        """Closed-form slot parameters (see SchedulerPolicy.vector_params).
-
-        Only the predictor-less, zero-standby configuration qualifies:
-        the ML predictor trains on every task completion (a side effect
-        the closed form skips), and a standby floor changes the
-        wake/yield trace away from the canonical wake-once/yield-once
-        shape.  ``pin_tasks_to_wakeups`` is False for Concordia, but the
-        guard keeps the contract explicit.
-        """
-        if (self.predictor is not None or self.min_standby_cores != 0
-                or self.pin_tasks_to_wakeups):
-            return None
-        return {
-            "tick_us": self.tick_interval_us,
-            "release_hold_us": self.release_hold_us,
-            "wakeup_overdue_us": self.wakeup_overdue_us,
-            "wcet_margin": self.wcet_fallback_margin,
-        }
-
-    def vector_ready(self) -> bool:
-        """True iff the scheduler is in the unique post-slot quiescent
-        state the closed form starts from: no DAG registry entries and
-        a demand window that is empty or a single trailing zero (what a
-        fully drained slot — or a fresh run — leaves behind)."""
-        if self._states:
-            return False
-        window = self._demand_window
-        return not window or (len(window) == 1 and window[0][1] <= 0)
-
-    def vector_commit(self, n_ticks: int, last_tick_us: float) -> None:
-        """Net policy effect of one closed-form slot.
-
-        The event path would have run ``on_slot_start`` once (one
-        prediction pass + one reschedule) and ``n_ticks`` tick
-        reschedules, ending — as proven by the kernel's gates — with
-        every ratchet gone (states deleted at DAG completion) and the
-        demand window reduced to the trailing zero stamped at the last
-        tick.  The wall-clock counters are intentionally untouched:
-        they are stripped from the digest and measure *actual* work.
-        """
-        self._prediction_calls.value += 1
-        self._scheduling_calls.value += n_ticks + 1
-        window = self._demand_window
-        window.clear()
-        window.append((last_tick_us, 0))
-
     # -- the scheduling decision ---------------------------------------------------
 
     def _reschedule(self, now: float, kind: str = "tick") -> None:

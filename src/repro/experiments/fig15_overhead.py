@@ -14,38 +14,68 @@
 
 from __future__ import annotations
 
+import copy
+import statistics
+
 from ..ran.config import PoolConfig, cell_20mhz_fdd, pool_20mhz_7cells
-from .common import format_table, make_policy, run_simulation, scaled_slots
+from .common import (format_table, get_predictor, make_policy,
+                     run_simulation, scaled_slots)
 
 __all__ = ["run_overhead", "run_deadline_sweep", "main"]
 
 
+#: Fig. 15a rounds: each runs every cell count once, interleaved.
+OVERHEAD_ROUNDS = 3
+
+
 def run_overhead(num_slots: int = None, seed: int = 7,
                  cell_counts=(1, 2, 3, 5, 7)) -> dict:
-    """Fig. 15a: per-call wall time of scheduler and predictor."""
+    """Fig. 15a: per-call wall time of scheduler and predictor.
+
+    Wall times drift with host load, so one run per cell count can
+    bend the shape.  Each of :data:`OVERHEAD_ROUNDS` rounds runs every
+    cell count once, interleaved, on a fresh copy of that count's
+    fitted predictor.  Each count reports the median of its per-round
+    walls, so a slow stretch of the host hits every count alike.
+    """
     if num_slots is None:
         num_slots = scaled_slots(1500)
-    results = {}
-    for num_cells in cell_counts:
-        cells = tuple(cell_20mhz_fdd(f"c{i}") for i in range(num_cells))
-        config = PoolConfig(cells=cells, num_cores=8, deadline_us=2000.0)
-        policy = make_policy("concordia", config)
-        from ..sim.runner import Simulation
-        simulation = Simulation(config, policy, workload="none",
-                                load_fraction=0.6, seed=seed)
-        result = simulation.run(num_slots)
-        # Read the overhead counters back through the telemetry
-        # snapshot (the same numbers a cached result would carry).
-        counters = result.telemetry["counters"]
-        decisions = max(1, counters["scheduler/scheduling_calls"])
-        predictions = max(1, counters["scheduler/prediction_calls"])
-        results[num_cells] = {
-            "scheduler_us": counters["scheduler/scheduling_wall_s"]
-            / decisions * 1e6,
-            "predictor_us": counters["scheduler/prediction_wall_s"]
-            / predictions * 1e6,
-        }
-    return results
+    from ..sim.runner import Simulation
+
+    configs = {
+        num_cells: PoolConfig(
+            cells=tuple(cell_20mhz_fdd(f"c{i}") for i in range(num_cells)),
+            num_cores=8, deadline_us=2000.0)
+        for num_cells in cell_counts
+    }
+    predictors = {num_cells: get_predictor(config)
+                  for num_cells, config in configs.items()}
+    walls = {num_cells: {"scheduler_us": [], "predictor_us": []}
+             for num_cells in cell_counts}
+    for _ in range(OVERHEAD_ROUNDS):
+        for num_cells in cell_counts:
+            # The online phase rewrites leaf buffers: every round starts
+            # from the same fitted predictor.
+            policy = make_policy(
+                "concordia", configs[num_cells],
+                predictor=copy.deepcopy(predictors[num_cells]))
+            simulation = Simulation(configs[num_cells], policy,
+                                    workload="none", load_fraction=0.6,
+                                    seed=seed)
+            result = simulation.run(num_slots)
+            # Read the overhead counters back through the telemetry
+            # snapshot (the same numbers a cached result would carry).
+            counters = result.telemetry["counters"]
+            decisions = max(1, counters["scheduler/scheduling_calls"])
+            predictions = max(1, counters["scheduler/prediction_calls"])
+            entry = walls[num_cells]
+            entry["scheduler_us"].append(
+                counters["scheduler/scheduling_wall_s"] / decisions * 1e6)
+            entry["predictor_us"].append(
+                counters["scheduler/prediction_wall_s"] / predictions * 1e6)
+    return {num_cells: {key: statistics.median(values)
+                        for key, values in entry.items()}
+            for num_cells, entry in walls.items()}
 
 
 def run_deadline_sweep(num_slots: int = None, seed: int = 7,

@@ -35,9 +35,8 @@ from .tasks import (
 )
 from .ue import SlotLoad, UeAllocation
 
-__all__ = ["DagInstance", "DagBuilder", "DagTopology", "MAX_CBS_PER_TASK",
-           "batch_predicted_paths", "dag_kind_key", "topology_from_dag",
-           "topology_for_kind", "topology_for_key", "plan_task_rows"]
+__all__ = ["DagInstance", "DagBuilder", "MAX_CBS_PER_TASK",
+           "batch_predicted_paths"]
 
 #: Maximum codeblocks bundled into one encode/decode task instance.
 MAX_CBS_PER_TASK = 4
@@ -72,13 +71,6 @@ class DagInstance:
     #: predictor has no history for the cell; sampling and ground-truth
     #: runtimes are never scaled, so demand digests are unaffected.
     wcet_inflation: float = 1.0
-    #: Structural fingerprint ``(uplink, idle, per-alloc decode/encode
-    #: group counts)``.  Two DAGs with equal kind keys are wired
-    #: identically (same task count, same dependency edges, same
-    #: ``dag.tasks`` order), which is what lets the array kernel look
-    #: their topology up in :func:`topology_for_kind` instead of
-    #: re-deriving it per slot.
-    kind_key: Optional[tuple] = None
 
     @property
     def finished(self) -> bool:
@@ -140,105 +132,6 @@ class DagInstance:
 def _link(parent: TaskInstance, child: TaskInstance) -> None:
     parent.successors.append(child)
     child.predecessors_remaining += 1
-
-
-def dag_kind_key(load: SlotLoad) -> tuple:
-    """Structural fingerprint of the DAG a :class:`SlotLoad` builds.
-
-    The builder wires a DAG from exactly three structural inputs: the
-    direction, whether the slot is idle, and how many codeblock groups
-    each allocation splits into (``_codeblock_groups`` emits
-    ``ceil(num_codeblocks / MAX_CBS_PER_TASK)`` groups, zero for
-    zero-codeblock allocations).  Everything else — byte counts, SNR,
-    MCS — only changes task *costs*, never edges or ``dag.tasks``
-    order, so this tuple indexes the topology-template registry.
-    """
-    if load.idle:
-        return (load.uplink, True, ())
-    groups = tuple((alloc.num_codeblocks + MAX_CBS_PER_TASK - 1)
-                   // MAX_CBS_PER_TASK
-                   for alloc in load.allocations)
-    return (load.uplink, False, groups)
-
-
-@dataclass(frozen=True)
-class DagTopology:
-    """Immutable index-space view of one DAG kind's wiring.
-
-    All fields refer to positions in ``dag.tasks`` (topological
-    order).  ``levels`` is the level-synchronous schedule — level k
-    holds every task whose longest entry distance is k — and
-    ``dependency_matrix()`` materialises the edge set; both exist so
-    batch kernels (and the template-equality tests) can reason about
-    the shape without touching task objects.
-    """
-
-    kind_key: tuple
-    num_tasks: int
-    entry_indices: tuple
-    pred_counts: tuple
-    successors: tuple  # tuple of per-task successor index tuples
-    levels: tuple      # tuple of per-level task index tuples
-
-    def dependency_matrix(self) -> np.ndarray:
-        """Boolean ``(num_tasks, num_tasks)`` matrix: [i, j] = i -> j."""
-        matrix = np.zeros((self.num_tasks, self.num_tasks), dtype=bool)
-        for i, succ in enumerate(self.successors):
-            for j in succ:
-                matrix[i, j] = True
-        return matrix
-
-
-def topology_from_dag(dag: DagInstance) -> DagTopology:
-    """Derive a :class:`DagTopology` from a freshly built DAG."""
-    tasks = dag.tasks
-    n = len(tasks)
-    index = {id(task): i for i, task in enumerate(tasks)}
-    successors = tuple(
-        tuple(index[id(s)] for s in task.successors) for task in tasks)
-    pred_counts = [0] * n
-    for succ in successors:
-        for j in succ:
-            pred_counts[j] += 1
-    entry_indices = tuple(i for i in range(n) if pred_counts[i] == 0)
-    depth = [0] * n
-    for i in range(n):  # tasks are topologically ordered
-        for j in successors[i]:
-            if depth[i] + 1 > depth[j]:
-                depth[j] = depth[i] + 1
-    levels: list[list[int]] = [[] for _ in range(max(depth, default=-1) + 1)]
-    for i, d in enumerate(depth):
-        levels[d].append(i)
-    return DagTopology(
-        kind_key=dag.kind_key,
-        num_tasks=n,
-        entry_indices=entry_indices,
-        pred_counts=tuple(pred_counts),
-        successors=successors,
-        levels=tuple(tuple(level) for level in levels),
-    )
-
-
-#: kind_key -> DagTopology, lazily filled from the first DAG of each
-#: kind.  Process-wide: topology is a pure function of the kind key.
-_TOPOLOGY_REGISTRY: dict = {}
-
-
-def topology_for_kind(dag: DagInstance) -> DagTopology:
-    """Registry lookup of ``dag``'s topology template (lazy insert)."""
-    key = dag.kind_key
-    topology = _TOPOLOGY_REGISTRY.get(key)
-    if topology is None:
-        topology = topology_from_dag(dag)
-        _TOPOLOGY_REGISTRY[key] = topology
-    return topology
-
-
-def topology_for_key(kind_key: tuple) -> Optional[DagTopology]:
-    """Registry lookup by kind key alone; None until a DAG of that kind
-    has been built (the registry only fills from real DAGs, never from
-    synthesized wiring, so templates can't drift from the builder)."""
-    return _TOPOLOGY_REGISTRY.get(kind_key)
 
 
 #: Below this many tasks per slot the scalar prediction path beats the
@@ -557,7 +450,6 @@ class DagBuilder:
         for job, tasks in zip(jobs, dag_tasks):
             load, cell, release_us, deadline_us, cell_index = job
             n = len(tasks)
-            kind = dag_kind_key(load)
             rng = self._dag_rng(cell_index, load.slot_index, load.uplink)
             # Probes are drawn and assigned in dag.tasks (topological)
             # order, exactly like the old scalar path.
@@ -579,7 +471,6 @@ class DagBuilder:
                 dag.completion_us = None
                 dag.policy_state = None
                 dag.wcet_inflation = 1.0
-                dag.kind_key = kind
             else:
                 dag = DagInstance(
                     dag_id=next(self._dag_ids),
@@ -590,7 +481,6 @@ class DagBuilder:
                     deadline_us=deadline_us,
                     tasks=tasks,
                     tasks_remaining=n,
-                    kind_key=kind,
                 )
             for task in tasks:
                 task.dag = dag
@@ -683,147 +573,3 @@ class DagBuilder:
         _link(precode, ifft)
         tasks.append(ifft)
         return tasks
-
-    def plan_stoch_mults(self, n: int, decode_indices: list,
-                         cell_index: int, slot_index: int,
-                         uplink: bool) -> list:
-        """The ``task.stoch_mult`` values one DAG build would produce.
-
-        Consumes exactly the draws :meth:`build_many` would from the
-        DAG's counter-keyed stream — the probe block first, then the
-        :meth:`CostModel.sample_runtimes` block — so a later real build
-        of the same (cell, slot, direction) sees identical randomness.
-        ``decode_indices`` lists the LDPC-decode positions in
-        ``dag.tasks`` order; the cache_u/cache_tail draws are consumed
-        but not returned (they only matter at event-path dispatch).
-        """
-        cm = self.cost_model
-        rng = self._dag_rng(cell_index, slot_index, uplink)
-        # One 5n draw replaces the probe block's random(n) followed by
-        # sample_runtimes' random(4n): Generator.random consumes one
-        # uint64 per double, so consecutive calls concatenate — the
-        # block is bitwise the same stream prefix.
-        block = rng.random(5 * n)
-        u = block[n:]  # probes block[:n] feed only predictor features
-        mult = np.exp(rng.standard_normal(n) * cm.noise_sigma)
-        mult[u[:n] < cm.isolated_tail_prob] *= cm.isolated_tail_scale
-        mults = mult.tolist()
-        if decode_indices:
-            jitters = (-np.log1p(-u[n:2 * n])).tolist()
-            coeff = cm.decode_iteration_jitter
-            for i in decode_indices:
-                m = mults[i]
-                m *= 1.0 + coeff * jitters[i]
-                mults[i] = m
-        return mults
-
-    def plan_stoch_window(self, reqs: list) -> list:
-        """Batched :meth:`plan_stoch_mults` over many DAGs.
-
-        ``reqs`` holds one ``(n, decode_indices, cell_index,
-        slot_index, uplink)`` tuple per DAG.  Each DAG's uniform and
-        normal blocks are drawn from its own counter-keyed stream in
-        request order, exactly like the per-DAG calls; only the
-        elementwise transform (noise exp, tail scaling) is fused
-        across DAGs, which cannot perturb any value.  Returns the
-        multipliers as one flat list in request order (``n`` values
-        per request).
-        """
-        if not reqs:
-            return []
-        cm = self.cost_model
-        dag_rng = self._dag_rng
-        blocks = []
-        zs = []
-        for n, _d, cell_index, slot_index, uplink in reqs:
-            rng = dag_rng(cell_index, slot_index, uplink)
-            blocks.append(rng.random(5 * n))
-            zs.append(rng.standard_normal(n))
-        mult_all = np.exp(np.concatenate(zs) * cm.noise_sigma)
-        tail_u = np.concatenate(
-            [block[req[0]:2 * req[0]]
-             for block, req in zip(blocks, reqs)])
-        mult_all[tail_u < cm.isolated_tail_prob] *= \
-            cm.isolated_tail_scale
-        mults = mult_all.tolist()
-        coeff = cm.decode_iteration_jitter
-        offset = 0
-        for block, (n, decode_indices, _c, _s, _u) in zip(blocks, reqs):
-            if decode_indices:
-                jitters = (-np.log1p(-block[2 * n:3 * n])).tolist()
-                for i in decode_indices:
-                    m = mults[offset + i]
-                    m *= 1.0 + coeff * jitters[i]
-                    mults[offset + i] = m
-            offset += n
-        return mults
-
-
-#: Default cost-row tail for parameter-less tasks, matching
-#: ``DagBuilder._new_task``'s keyword defaults:
-#: (codeblocks, bytes, snr_margin_db, code_rate, prb_share, layers).
-_PLAN_DEFAULT_ROW = (0, 0.0, 10.0, 0.6, 1.0, 1)
-
-_UL_CHAIN_TYPES = (TaskType.CHANNEL_ESTIMATION, TaskType.EQUALIZATION,
-                   TaskType.DEMODULATION, TaskType.DESCRAMBLING,
-                   TaskType.RATE_DEMATCH)
-
-#: Idle-slot rows are load-independent; shared read-only lists.
-_IDLE_UL_ROWS = [(TaskType.FFT,) + _PLAN_DEFAULT_ROW]
-_IDLE_DL_ROWS = [(TaskType.MODULATION,) + _PLAN_DEFAULT_ROW,
-                 (TaskType.IFFT,) + _PLAN_DEFAULT_ROW]
-
-
-def plan_task_rows(load: SlotLoad, cell: CellConfig) -> list:
-    """Cost-model inputs of one DAG's tasks, without building tasks.
-
-    Returns one ``(task_type, codeblocks, bytes, margin, rate, share,
-    layers)`` tuple per task in ``dag.tasks`` (topological) order,
-    mirroring ``_build_uplink``/``_build_downlink`` parameter by
-    parameter.  ``base_costs_batch`` over these rows reproduces every
-    ``task.base_cost_us`` bit-for-bit, which is what lets the window
-    fill certify and plan a slot before deciding whether to materialize
-    its DAG objects at all.
-    """
-    if load.uplink:
-        if load.idle:
-            return _IDLE_UL_ROWS
-        rows = [(TaskType.FFT,) + _PLAN_DEFAULT_ROW]
-        slot_bytes = max(load.total_bytes, 1)
-        for alloc in load.allocations:
-            share = alloc.tbs_bytes / slot_bytes
-            margin = alloc.snr_db - alloc.mcs.min_snr_db
-            tbs = alloc.tbs_bytes
-            rate = alloc.mcs.code_rate
-            layers = alloc.layers
-            for task_type in _UL_CHAIN_TYPES:
-                rows.append((task_type, 0, tbs, margin, rate, share,
-                             layers))
-            for cbs, grp_bytes, grp_margin, grp_rate in (
-                    DagBuilder._codeblock_groups(alloc)):
-                rows.append((TaskType.LDPC_DECODE, cbs, grp_bytes,
-                             grp_margin, grp_rate, share, layers))
-        rows.append((TaskType.CRC_CHECK,) + _PLAN_DEFAULT_ROW)
-        return rows
-    if load.idle:
-        return _IDLE_DL_ROWS
-    rows = [(TaskType.CRC_ATTACH,) + _PLAN_DEFAULT_ROW]
-    slot_bytes = max(load.total_bytes, 1)
-    for alloc in load.allocations:
-        share = alloc.tbs_bytes / slot_bytes
-        margin = alloc.snr_db - alloc.mcs.min_snr_db
-        tbs = alloc.tbs_bytes
-        rate = alloc.mcs.code_rate
-        layers = alloc.layers
-        for cbs, grp_bytes, grp_margin, grp_rate in (
-                DagBuilder._codeblock_groups(alloc)):
-            rows.append((TaskType.LDPC_ENCODE, cbs, grp_bytes,
-                         grp_margin, grp_rate, share, layers))
-        rows.append((TaskType.RATE_MATCH, 0, tbs, margin, rate, share,
-                     layers))
-        for task_type in (TaskType.SCRAMBLING, TaskType.MODULATION):
-            rows.append((task_type, 0, tbs, margin, rate, share,
-                         layers))
-    rows.append((TaskType.PRECODING,) + _PLAN_DEFAULT_ROW)
-    rows.append((TaskType.IFFT,) + _PLAN_DEFAULT_ROW)
-    return rows

@@ -167,19 +167,6 @@ class CacheInterferenceModel:
             tail = 1.0
         return mean_multiplier, tail
 
-    def record_neutral_samples(self, count: int) -> None:
-        """Fold ``count`` zero-pressure stall samples into the averages.
-
-        A certified slot replayed in closed form would have called
-        :meth:`multipliers_for` once per task start, each contributing
-        a ``stall`` of exactly 0.0 (certification requires zero
-        pressure).  Only the sample count moves — ``_stall_sum += 0.0``
-        is a float identity — so the vectorized kernel records the
-        samples in one call and ``mean_stall_increase`` stays
-        bit-identical to the event path.
-        """
-        self._stall_samples += count
-
     # -- reporting ---------------------------------------------------------------
 
     @property

@@ -188,28 +188,10 @@ class Metrics:
     # -- slot latencies -----------------------------------------------------------
 
     def on_slot_complete(self, latency_us: float, deadline_us: float) -> None:
-        # Single-sample ingest is the batch API with one pair, so the
-        # fallback (event) path and the vectorized kernel share one
-        # clamping/overflow/miss code path.
-        self.record_slot_batch((latency_us,), (deadline_us,))
-
-    def record_slot_batch(self, latencies_us: list,
-                          deadlines_us: list) -> None:
-        """Bulk :meth:`on_slot_complete` for the array-timeline kernel.
-
-        Order-preserving appends plus one counter update; equivalent to
-        calling :meth:`on_slot_complete` once per pair.  Slot-latency
-        recording is independent of the core-time integrals, so a
-        kernel may defer and flush a slot's completions in one call.
-        """
-        self.slot_latencies.extend(latencies_us)
-        self._slots.value += len(latencies_us)
-        misses = 0
-        for latency, deadline in zip(latencies_us, deadlines_us):
-            if latency > deadline:
-                misses += 1
-        if misses:
-            self._misses.value += misses
+        self._slots.value += 1
+        self.slot_latencies.append(latency_us)
+        if latency_us > deadline_us:
+            self._misses.value += 1
 
     @property
     def slot_count(self) -> int:
@@ -247,67 +229,6 @@ class Metrics:
         self.wakeup_latencies.append(latency_us)
         self._wakeups.value += 1
         self._wakeup_hist.observe(latency_us)
-
-    def record_wakeup_batch(self, latencies_us: list) -> None:
-        """Bulk :meth:`on_wakeup` for the vectorized slot kernel.
-
-        Byte-identical to calling :meth:`on_wakeup` once per latency:
-        histogram bucket counts are exact integers (``searchsorted``
-        with right-closed buckets replicates ``Histogram.observe``'s
-        "first edge the value is below" scan), while ``sum`` and
-        ``max`` are folded sequentially in list order because the
-        histogram's running float sum is order-sensitive and lands in
-        the digested telemetry snapshot.
-        """
-        if not latencies_us:
-            return
-        self.wakeup_latencies.extend(latencies_us)
-        self._wakeups.value += len(latencies_us)
-        hist = self._wakeup_hist
-        arr = np.asarray(latencies_us)
-        if np.isnan(arr).any():
-            raise ValueError(f"histogram {hist.name}: NaN observation")
-        idx = np.minimum(np.searchsorted(hist.edges, arr, side="right"),
-                         len(hist.edges) - 1)
-        counts = np.bincount(idx, minlength=len(hist.edges))
-        for bucket, n in enumerate(counts.tolist()):
-            if n:
-                hist.counts[bucket] += n
-        hist.count += len(latencies_us)
-        total = hist.sum
-        maximum = hist.max
-        for value in latencies_us:
-            total += value
-            if value > maximum:
-                maximum = value
-        hist.sum = total
-        hist.max = maximum
-
-    def record_core_segments(self, now_us: float, reserved_dts: list,
-                             busy_dts: list) -> None:
-        """Deferred core-time integral segments from the slot kernel.
-
-        The kernel computes a certified slot's reserve/run/yield
-        timeline in closed form, so instead of stepping
-        :meth:`on_reserved_change`/:meth:`on_running_change` through
-        every transition it hands over the per-segment ``dt`` lists
-        (one core held during each).  Sequential ``+=`` folds keep the
-        float accumulation order of the event path; ``now_us`` is the
-        yield timestamp of the final segment, from which live
-        accounting resumes.  Only valid while the live reserved/running
-        levels are zero — i.e. between certified slot boundaries —
-        which certification guarantees.
-        """
-        reserved = self.reserved_core_time_us
-        for dt in reserved_dts:
-            reserved += dt
-        self.reserved_core_time_us = reserved
-        busy = self.busy_core_time_us
-        for dt in busy_dts:
-            busy += dt
-        self.busy_core_time_us = busy
-        if now_us > self._last_change_us:
-            self._last_change_us = now_us
 
     def on_preemption(self) -> None:
         """A wakeup displaced an actual best-effort occupant."""

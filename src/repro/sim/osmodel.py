@@ -111,35 +111,6 @@ class WakeupLatencyModel:
                        -1, collocated, False)
         return latency
 
-    def peek(self, collocated: bool) -> float:
-        """The latency the *next* :meth:`sample` call will return.
-
-        Non-consuming: the block is refilled if empty (the same refill
-        point ``sample`` would hit, on the model's private stream, so
-        peeking never perturbs draw order) but the value stays at the
-        tail of the block for ``sample`` to pop.  The vectorized slot
-        kernel peeks the boundary wakeup draw while deciding whether a
-        slot's closed-form schedule is collision-free; certification
-        already guarantees the event bus is disabled, so no bus record
-        is skipped by peeking.
-        """
-        block = self._presampled[collocated]
-        if not block:
-            block = self._refill(collocated)
-        return block[-1]
-
-    def max_latency_us(self, collocated: bool) -> float:
-        """Hard upper bound of any latency :meth:`sample` can return.
-
-        The mixture draws uniformly within its buckets, so the bound is
-        the largest bucket ceiling (200 µs isolated).  The array-timeline
-        kernel uses it in its slot makespan pre-check: a slot is only
-        replayed synchronously when even worst-case wakeups plus
-        worst-case task runtimes fit inside the slot.
-        """
-        _, buckets = self._collocated if collocated else self._isolated
-        return max(b.high_us for b in buckets)
-
     def expected_body_us(self, collocated: bool) -> float:
         """Mean latency excluding the rare kernel-stall component.
 

@@ -84,62 +84,6 @@ class SchedulerPolicy(abc.ABC):
         live tick fires one period after it.
         """
 
-    # -- array-timeline engine certification --------------------------------
-
-    def array_certify(self) -> bool:
-        """Whether the array-timeline kernel may replay the next slot.
-
-        Called at a slot boundary (before the slot's DAGs are released)
-        when the pool is otherwise quiescent.  Returning True certifies
-        that the policy carries no cross-slot state the kernel's
-        synchronous replay could mis-order (no live reclaim ratchet, no
-        in-flight DAG bookkeeping).  The default is False: only
-        policies that have audited their tick/ratchet machinery against
-        the replay contract opt in.
-        """
-        return False
-
-    def certify_tick_run(self, start: float, end: float,
-                         count: int) -> bool:
-        """Try to compress ``count`` ticks in ``(start, end]`` at once.
-
-        Called by the array kernel between micro-events while DAGs are
-        in flight (so :meth:`idle_tick_bound` does not apply).  Return
-        True after replaying the ticks' net accounting effect
-        (scheduling-call counters, reclaim-window updates) in closed
-        form; return False to make the kernel fire each tick through
-        :meth:`on_tick` individually.  The default never compresses.
-        """
-        return False
-
-    # -- vectorized certified-slot kernel ------------------------------------
-
-    def vector_params(self) -> Optional[dict]:
-        """Static parameters for the closed-form certified-slot kernel.
-
-        Returning a dict of ``tick_us`` / ``release_hold_us`` /
-        ``wakeup_overdue_us`` / ``wcet_margin`` certifies that, for a
-        quiescent boundary this policy would certify anyway, the
-        policy's entire per-slot behaviour is the canonical
-        wake-once/serial-FIFO/yield-once trace the vectorized kernel
-        computes in closed form (see repro.sim.arraykernel).  The
-        default None keeps the per-event emulation.
-        """
-        return None
-
-    def vector_ready(self) -> bool:
-        """Per-boundary re-check that the policy state is in the unique
-        quiescent configuration the closed form starts from."""
-        return False
-
-    def vector_commit(self, n_ticks: int, last_tick_us: float) -> None:
-        """Apply one vectorized slot's net effect on policy state.
-
-        ``n_ticks`` grid ticks fired inside the slot and the last one
-        was at ``last_tick_us``; the policy replays exactly the counter
-        and reclaim-window state the per-event path would have left.
-        """
-
     # -- predictions -----------------------------------------------------------
 
     def wcet(self, task: "TaskInstance") -> float:

@@ -166,12 +166,6 @@ class VranPool:
         #: of individual heap events, and how many batches did it.
         self.ticks_batched = 0
         self.tick_batches = 0
-        #: Bumped whenever the physical worker *set* changes
-        #: (add_worker/_retire) — never by rotation, which only reorders
-        #: ``_order``.  The array kernel keys its lifetime pool of
-        #: virtual timers off this instead of re-scanning (or worse,
-        #: re-allocating) per slot.
-        self.workers_epoch = 0
 
         self.metrics.on_reserved_change(engine.now, config.num_cores)
         policy.attach(self)
@@ -595,7 +589,6 @@ class VranPool:
         worker.finish_timer = self.engine.timer(partial(self._finish, worker))
         worker.wake_timer = self.engine.timer(partial(self._awake, worker))
         self.workers.append(worker)
-        self.workers_epoch += 1
         pos = len(self._order)
         worker.order_pos = pos
         self._order.append(worker)
@@ -660,7 +653,6 @@ class VranPool:
         worker.finish_timer.cancel()
         worker.wake_timer.cancel()
         self.workers.remove(worker)
-        self.workers_epoch += 1
         self._order.remove(worker)
         reserved_changed = False
         if state is WorkerState.SPINNING:

@@ -54,11 +54,10 @@ from typing import Optional
 import numpy as np
 
 from ..ran.config import PoolConfig, SlotType
-from ..ran.dag import (DagBuilder, dag_kind_key, plan_task_rows,
-                       topology_for_key)
+from ..ran.dag import DagBuilder
 from ..ran.harq import HarqConfig, HarqManager, _PendingRetransmission
 from ..ran.mac import MacCell
-from ..ran.tasks import CostModel, TaskType, prbs_for_bandwidth
+from ..ran.tasks import CostModel
 from ..ran.traffic import CellTraffic
 from ..ran.ue import MCS_TABLE, SlotLoad, UeAllocation, bytes_to_allocations
 from ..workloads.base import WorkloadHost
@@ -443,51 +442,18 @@ class Simulation:
         self._use_window = False
         self._win_dags: deque = deque()
         self._win_idle: deque = deque()
-        #: Per-slot :class:`repro.sim.arraykernel.SlotPlan` (or None),
-        #: kept in lockstep with ``_win_dags``; built at window-fill
-        #: time so the boundary hot path only checks dynamic gates.
-        self._win_plans: deque = deque()
-        #: Per-slot job list for slots whose DAGs were *not* built at
-        #: fill time (plan-direct fill): the boundary either commits
-        #: the slot in closed form without ever building its DAGs, or
-        #: materializes them from the jobs with a byte-identical
-        #: counter-keyed rebuild.  None for materialized slots.
-        self._win_jobs: deque = deque()
-        self._use_vector_plans = False
-        # kind_key -> (decode indices, memory-bound flags): the task
-        # *type* sequence is fully determined by the kind key, so this
-        # per-row metadata is shared by every DAG of a kind.
-        self._plan_kind_meta: dict = {}
-        # (uplink, id(cell)) -> (cell, tuple of idle-DAG base costs);
-        # idle rows are load-independent so the batch output is
-        # reusable, and the held reference keeps the id stable.
-        self._idle_base_cache: dict = {}
         self.kernel_stats = {
             "slots": 0,          # slot boundaries fired
             "window_slots": 0,   # slots served by the window kernel
             "idle_slots": 0,     # of those, slots with zero bytes
             "windows": 0,        # build_many pre-pass invocations
-            "array_slots": 0,    # slots replayed by the array kernel
-            "vector_slots": 0,   # of those, closed-form vector commits
+            # Always 0: the array-timeline engine is gone, but
+            # perfbench/child.py still reads the key.
+            "array_slots": 0,
         }
         #: Wall-clock phase accounting for ``repro bench --profile``.
         self.fill_wall_s = 0.0
         self.summary_wall_s = 0.0
-        #: Array-timeline engine (ISSUE 9): "array" replays certified
-        #: slots synchronously inside the boundary callback, bypassing
-        #: the event heap; "event" (the default) is the legacy
-        #: per-event path.  Slots the kernel cannot certify fall back
-        #: to the event path mid-run, so results are byte-identical
-        #: either way (see repro.sim.arraykernel).
-        self.engine_mode = getattr(scenario, "engine_mode", "event")
-        self._array_kernel = None
-        self._use_array = False
-        if self.engine_mode == "array":
-            # Lazy import: the kernel is opt-in and the hot default
-            # path should not pay for it.
-            from .arraykernel import ArraySlotKernel
-
-            self._array_kernel = ArraySlotKernel(self)
 
     # -- traffic ----------------------------------------------------------------
 
@@ -606,11 +572,9 @@ class Simulation:
         deadline_us = self.pool_config.deadline_us
         slot_us = self._slot_us
         release = self.engine.now
-        slot_meta = []
         for rel in range(count):
             slot_index = start_slot + rel
             deadline = release + deadline_us
-            slot_meta.append((release, deadline))
             n_jobs = 0
             idle = True
             for cell_index, cell in enumerate(cells):
@@ -639,231 +603,20 @@ class Simulation:
             job_counts.append(n_jobs)
             idle_flags.append(idle)
             release += slot_us
-        if (self._use_vector_plans and self.demand_observer is None
-                and self._array_kernel.lazy_ok()):
-            # Plan-direct fill: certify from cost rows, defer (most)
-            # DAG construction to the slots that actually need it.
-            self._plan_window(jobs, job_counts, idle_flags, slot_meta,
-                              slot_us)
-        else:
-            # One vectorized cost/feature pass over the whole
-            # *window's* DAGs (the per-slot path batches only within a
-            # slot).
-            dags = self.builder.build_many(jobs)
-            win_dags = self._win_dags
-            win_idle = self._win_idle
-            win_plans = self._win_plans
-            win_jobs = self._win_jobs
-            build_plan = (self._array_kernel.build_plan
-                          if self._use_vector_plans else None)
-            pos = 0
-            for (n_jobs, idle, meta) in zip(job_counts, idle_flags,
-                                            slot_meta):
-                slot_dags = dags[pos:pos + n_jobs]
-                win_dags.append(slot_dags)
-                win_idle.append(idle)
-                win_jobs.append(None)
-                if build_plan is not None:
-                    win_plans.append(
-                        build_plan(slot_dags, meta[0], meta[1], slot_us))
-                else:
-                    win_plans.append(None)
-                pos += n_jobs
+        # One vectorized cost/feature pass over the whole *window's*
+        # DAGs (the per-slot path batches only within a slot).
+        dags = self.builder.build_many(jobs)
+        win_dags = self._win_dags
+        win_idle = self._win_idle
+        pos = 0
+        for n_jobs, idle in zip(job_counts, idle_flags):
+            win_dags.append(dags[pos:pos + n_jobs])
+            win_idle.append(idle)
+            pos += n_jobs
         stats = self.kernel_stats
         stats["windows"] += 1
         stats["window_slots"] += count
         self.fill_wall_s += time.perf_counter() - wall_start
-
-    def _plan_window(self, jobs: list, job_counts: list,
-                     idle_flags: list, slot_meta: list,
-                     slot_us: float) -> None:
-        """Plan-direct window fill: build plans, not DAGs.
-
-        For each slot whose static vector gates hold, only a
-        :class:`repro.sim.arraykernel.SlotPlan` is computed — from the
-        same cost rows, base-cost batch and per-DAG stochastic draws a
-        real build would use (``plan_task_rows`` mirrors the builders
-        parameter-for-parameter, and every DAG's RNG stream is
-        counter-keyed, so a deferred ``build_many`` of the same jobs
-        reproduces the exact task fields later if the boundary has to
-        fall back).  Slots that fail the static gates — or contain a
-        DAG kind with no registered topology template yet (templates
-        only ever come from real DAGs) — are materialized here in one
-        batched build, exactly like the non-lazy fill.
-        """
-        kernel = self._array_kernel
-        builder = self.builder
-        # One base-cost batch over every task row of the window,
-        # mirroring build_many's batch bit-for-bit (the ops are
-        # elementwise, so batch composition cannot perturb values).
-        # Idle DAGs dominate low-load runs and their rows (and hence
-        # base costs) depend only on (direction, cell config), so their
-        # bases are served from a per-runner cache after the first
-        # planned window touches the (direction, cell) pair.
-        idle_bases = self._idle_base_cache
-        rows_per_job: list = []
-        job_bases: list = []
-        kinds = []
-        flat_rows: list = []
-        consts = []
-        counts = []
-        for load, cell, _release, _deadline, _gid in jobs:
-            kinds.append(dag_kind_key(load))
-            if load.idle:
-                cached = idle_bases.get((load.uplink, id(cell)))
-                if cached is not None:
-                    rows_per_job.append(None)
-                    job_bases.append(cached[1])
-                    continue
-            rows = plan_task_rows(load, cell)
-            rows_per_job.append(rows)
-            job_bases.append(None)
-            counts.append(len(rows))
-            prbs = prbs_for_bandwidth(cell.bandwidth_mhz,
-                                      cell.numerology)
-            consts.append((float(prbs), float(cell.num_antennas),
-                           float(load.total_bytes)))
-            flat_rows.extend(rows)
-        if flat_rows:
-            (types, cbs, tbytes, margins, rates, shares,
-             layers_col) = zip(*flat_rows)
-            const_arr = np.repeat(np.array(consts), np.array(counts),
-                                  axis=0)
-            costs = builder.cost_model.base_costs_batch(
-                np.array([t.type_code for t in types]),
-                prbs=const_arr[:, 0],
-                antennas=const_arr[:, 1],
-                slot_bytes=const_arr[:, 2],
-                task_codeblocks=np.array(cbs, dtype=np.float64),
-                task_bytes=np.array(tbytes),
-                snr_margin_db=np.array(margins),
-                code_rate=np.array(rates),
-                prb_share=np.array(shares),
-                layers=np.array(layers_col, dtype=np.float64),
-            ).tolist()
-        else:
-            costs = []
-        decode_type = TaskType.LDPC_DECODE
-        build_plan_static = kernel.build_plan_static
-        kind_meta = self._plan_kind_meta
-        n_total = len(jobs)
-        # Pass A (flat, job order): resolve every job's base costs from
-        # the window batch, filling the idle cache as pairs first
-        # appear.
-        task_idx = 0
-        for jj in range(n_total):
-            if job_bases[jj] is None:
-                rows = rows_per_job[jj]
-                n = len(rows)
-                job_base = costs[task_idx:task_idx + n]
-                task_idx += n
-                load = jobs[jj][0]
-                if load.idle:
-                    cell = jobs[jj][1]
-                    # The held cell reference pins the id.
-                    idle_bases[(load.uplink, id(cell))] = \
-                        (cell, tuple(job_base))
-                job_bases[jj] = job_base
-        # Pass B: resolve topologies per slot; collect the stochastic
-        # draw requests of every plannable slot's DAGs in job order
-        # (each DAG draws from its own counter-keyed stream, so the
-        # materialized slots skipped here lose nothing).
-        slot_topos: list = []
-        metas: list = [None] * n_total
-        reqs: list = []
-        job_idx = 0
-        for n_jobs in job_counts:
-            topos: Optional[list] = []
-            for j in range(n_jobs):
-                topo = topology_for_key(kinds[job_idx + j])
-                if topo is None:
-                    topos = None
-                    break
-                topos.append(topo)
-            slot_topos.append(topos)
-            if topos is not None:
-                for j in range(n_jobs):
-                    jj = job_idx + j
-                    load = jobs[jj][0]
-                    kind = kinds[jj]
-                    meta = kind_meta.get(kind)
-                    if meta is None:
-                        rows = rows_per_job[jj]
-                        if rows is None:
-                            rows = plan_task_rows(load, jobs[jj][1])
-                        meta = ([i for i, row in enumerate(rows)
-                                 if row[0] is decode_type],
-                                [row[0].is_memory_bound for row in rows])
-                        kind_meta[kind] = meta
-                    metas[jj] = meta
-                    reqs.append((len(job_bases[jj]), meta[0],
-                                 jobs[jj][4], load.slot_index,
-                                 load.uplink))
-            job_idx += n_jobs
-        # One batched draw pass over every planned DAG of the window.
-        all_mults = builder.plan_stoch_window(reqs)
-        # Pass C: assemble and gate one plan per plannable slot.
-        entries: list = []      # (plan, slot_jobs) or None (materialize)
-        mat_jobs: list = []
-        mat_slots: list = []    # (slot position, n_jobs) of materialized
-        job_idx = 0
-        moff = 0
-        for si, n_jobs in enumerate(job_counts):
-            topos = slot_topos[si]
-            plan = None
-            if topos is not None:
-                bases: list = []
-                membound: list = []
-                m_end = moff
-                for j in range(n_jobs):
-                    jj = job_idx + j
-                    job_base = job_bases[jj]
-                    bases.extend(job_base)
-                    membound.extend(metas[jj][1])
-                    m_end += len(job_base)
-                release, deadline = slot_meta[si]
-                plan = build_plan_static(
-                    tuple(kinds[job_idx:job_idx + n_jobs]), topos,
-                    bases, all_mults[moff:m_end], membound,
-                    release, deadline, slot_us)
-                moff = m_end
-            slot_jobs = jobs[job_idx:job_idx + n_jobs]
-            if plan is not None and plan.ok:
-                entries.append((plan, slot_jobs))
-            else:
-                entries.append(None)
-                mat_jobs.extend(slot_jobs)
-                mat_slots.append((si, n_jobs))
-            job_idx += n_jobs
-        # One batched build for every slot that needs real DAGs (the
-        # per-DAG streams make the split from the lazy slots draw-safe).
-        built = builder.build_many(mat_jobs) if mat_jobs else []
-        mat_map = {}
-        pos = 0
-        for si, n_jobs in mat_slots:
-            mat_map[si] = built[pos:pos + n_jobs]
-            pos += n_jobs
-        win_dags = self._win_dags
-        win_idle = self._win_idle
-        win_plans = self._win_plans
-        win_jobs = self._win_jobs
-        build_plan = kernel.build_plan
-        for si, entry in enumerate(entries):
-            win_idle.append(idle_flags[si])
-            if entry is not None:
-                plan, slot_jobs = entry
-                win_dags.append(None)
-                win_jobs.append(slot_jobs)
-                win_plans.append(plan)
-            else:
-                slot_dags = mat_map[si]
-                release, deadline = slot_meta[si]
-                win_dags.append(slot_dags)
-                win_jobs.append(None)
-                # Registers any new topology templates as a side
-                # effect, unlocking the lazy path for later windows.
-                win_plans.append(
-                    build_plan(slot_dags, release, deadline, slot_us))
 
     def _on_slot_boundary(self) -> None:
         if self._reconfig_queue:
@@ -876,13 +629,9 @@ class Simulation:
             if not self._win_dags:
                 self._fill_window()
             dags = self._win_dags.popleft()
-            plan = self._win_plans.popleft()
-            jobs = self._win_jobs.popleft()
             if self._win_idle.popleft():
                 stats["idle_slots"] += 1
         else:
-            plan = None
-            jobs = None
             now = self.engine.now
             deadline = now + self.pool_config.deadline_us
             jobs = []
@@ -897,19 +646,11 @@ class Simulation:
             # per-DAG).
             dags = self.builder.build_many(jobs)
         if self.demand_observer is not None:
-            if dags is None:
-                dags = self.builder.build_many(jobs)
             self.demand_observer(dags)
         if self._held_cells or self._backlog:
-            if dags is None:
-                dags = self.builder.build_many(jobs)
             dags = self._apply_migration_holds(dags)
-            plan = None  # the hold changed the slot's DAG list
         if self._warm_cells:
-            if dags is None:
-                dags = self.builder.build_many(jobs)
             self._apply_predictor_warmup(dags)
-            plan = None  # inflated WCETs invalidate the plan's fold
         self._slot_index += 1
         self._slots_remaining -= 1
         pool = self.pool
@@ -924,26 +665,6 @@ class Simulation:
             # The pool is guaranteed no new work until the next
             # boundary — the tick-batching fast path keys off this.
             pool._quiet_until = self.engine.now + self._slot_us
-        kernel = self._array_kernel
-        if kernel is not None and self._use_array:
-            if dags is None and kernel.try_vector(plan):
-                stats["array_slots"] += 1
-                return
-            if dags is None:
-                # Dynamic rejection of a lazily planned slot: build the
-                # DAGs now (byte-identical counter-keyed rebuild) and
-                # take the ordinary replay/fallback path.
-                dags = self.builder.build_many(jobs)
-            if kernel.replay(dags, plan):
-                stats["array_slots"] += 1
-                return
-            pool.release_slot(dags)
-            # A boundary-coincident tick parked by a previous replay
-            # fires right after the boundary on the event path.
-            kernel.after_fallback_release()
-            return
-        if dags is None:
-            dags = self.builder.build_many(jobs)
         pool.release_slot(dags)
 
     # -- reconfiguration (elastic runtime) ---------------------------------------
@@ -1060,9 +781,6 @@ class Simulation:
                 "detach_cell mid-window: the detach slot must be a "
                 "window barrier (timeline events register theirs; "
                 "planners call add_window_barrier before the run)")
-        if self._array_kernel is not None:
-            # The snapshot boundary must see fully applied metrics.
-            self._array_kernel.flush_pending()
         for index, cell in enumerate(self._cell_list):
             if cell.name == name:
                 break
@@ -1166,8 +884,6 @@ class Simulation:
                 "attach_cell mid-window: the attach slot must be a "
                 "window barrier (timeline events register theirs; "
                 "planners call add_window_barrier before the run)")
-        if self._array_kernel is not None:
-            self._array_kernel.flush_pending()
         # Lazy: repro.scenario imports this module for build_simulation.
         from ..scenario.scenario import cell_config_from_dict
 
@@ -1266,26 +982,6 @@ class Simulation:
             and not self.profiling_traffic
             and self.allocation_mode != "mac"
         )
-        # The array kernel self-disables for configurations whose slot
-        # interiors are observable or whose builds feed back into the
-        # timeline (mirrors the window kernel's gating, plus reconfig:
-        # worker add/remove and cell detach/attach change pool
-        # structure mid-run).  Everything event-dependent — observers,
-        # bus, pressure, quiescence — is re-checked live per slot.
-        self._use_array = (
-            self._array_kernel is not None
-            and not self.profiling_traffic
-            and self.allocation_mode != "mac"
-            and self.workload_name == "none"
-            and not self.scenario.reconfig
-        )
-        # Vector plans only pay off when the policy supports the
-        # closed-form commit; without it every plan would be dead
-        # weight on the window fill.
-        self._use_vector_plans = (
-            self._use_array
-            and self.policy.vector_params() is not None
-        )
         self._slot_event = self.engine.schedule_every(
             self._slot_us, self._on_slot_boundary, start=start)
         self._end_time = start + num_slots * self._slot_us
@@ -1327,9 +1023,6 @@ class Simulation:
 
     def finish(self) -> SimulationResult:
         """Drain in-flight DAGs, finalize metrics, build the result."""
-        if self._array_kernel is not None:
-            # Deferred vector-slot metrics precede any finalization.
-            self._array_kernel.flush_pending()
         # Drain: let in-flight DAGs finish (bounded by 4 deadlines).
         drain_limit = self._end_time + 4 * self.pool_config.deadline_us
         while self.pool.active_dags and self.engine.now < drain_limit:

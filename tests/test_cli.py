@@ -26,6 +26,11 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["figure", "fig99"])
 
+    @pytest.mark.parametrize("command", ["sweep", "fleet", "bench"])
+    def test_no_engine_flag(self, command):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, "--engine", "event"])
+
 
 class TestCommands:
     def test_list(self, capsys):

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.exec.digest import result_digest
 from repro.ran.config import cell_100mhz_tdd, cell_20mhz_fdd
 from repro.ran.dag import MAX_CBS_PER_TASK, DagBuilder
 from repro.ran.tasks import CostModel, TaskType
 from repro.ran.ue import SlotLoad, bytes_to_allocations
+from repro.scenario import Scenario, build_simulation
 
 
 @pytest.fixture
@@ -161,3 +163,20 @@ def test_dag_invariants(total_bytes, uplink, seed):
     group_cbs = sum(int(t.feature("task_codeblocks")) for t in dag.tasks
                     if t.task_type is coding)
     assert group_cbs == load.total_codeblocks
+
+
+class TestPredictedPathBatchCutoff:
+    def test_scalar_and_vector_paths_byte_identical(self, monkeypatch):
+        # on_slot_start's WCET/critical-path fill picks a scalar or
+        # numpy implementation by slot size; forcing each branch for a
+        # whole run must not move a single float.
+        import repro.ran.dag as dag_mod
+
+        digests = set()
+        for cutoff in (0, 10**9):
+            monkeypatch.setattr(dag_mod, "_BATCH_PATH_CUTOFF", cutoff)
+            simulation = build_simulation(Scenario(
+                pool={"name": "20mhz"}, policy="concordia-noml",
+                workload="none", load_fraction=0.3, seed=11))
+            digests.add(result_digest(simulation.run(40)))
+        assert len(digests) == 1

@@ -30,6 +30,7 @@ from repro.fleet import (
     latency_histogram,
     merge_histograms,
 )
+from tests.test_scenario import LEGACY_ENGINE_FIELD
 
 
 class TestFleetScenario:
@@ -72,6 +73,18 @@ class TestFleetScenario:
         clone = FleetScenario.from_dict(
             json.loads(json.dumps(fleet.to_dict())))
         assert clone == fleet
+
+    @pytest.mark.parametrize("mode", ["event", "array"])
+    def test_legacy_engine_field_is_rejected(self, mode):
+        payload = FleetScenario(cells=4, shards=2, num_slots=5).to_dict()
+        payload[LEGACY_ENGINE_FIELD] = mode
+        with pytest.raises(TypeError, match=LEGACY_ENGINE_FIELD):
+            FleetScenario.from_dict(payload)
+        shard = FleetScenario(cells=4, shards=2,
+                              num_slots=5).derive_shards()[0].to_dict()
+        shard["scenario"][LEGACY_ENGINE_FIELD] = mode
+        with pytest.raises(TypeError, match=LEGACY_ENGINE_FIELD):
+            ShardSpec.from_dict(shard)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.fleet.report import histogram_percentile, latency_histogram
 from repro.sim.metrics import Metrics
 
 
@@ -58,6 +59,29 @@ class TestLatencies:
     def test_empty_summary_raises(self):
         with pytest.raises(ValueError):
             Metrics(1).latency_summary(1000.0)
+
+    def test_overflow_interpolation_past_histogram_range(self):
+        deadline = 2000.0
+        range_top = 4.0 * deadline
+        in_range = [100.0] * 994
+        overflow = [9000.0, 9500.0, 10000.0, 11000.0, 12000.0, 20000.0]
+        metrics = Metrics(4)
+        for latency in in_range + overflow:
+            metrics.on_slot_complete(latency, deadline)
+        hist = latency_histogram(metrics.slot_latencies, deadline)
+        assert hist["overflow"] == len(overflow)
+        assert hist["max_us"] == 20000.0
+        p999 = histogram_percentile(hist, 0.999)
+        p9999 = histogram_percentile(hist, 0.9999)
+        # Tail percentiles interpolate *through* the overflow region —
+        # strictly between the range top and the recorded maximum, and
+        # monotone in the quantile — instead of collapsing onto max_us.
+        assert range_top < p999 < p9999 <= 20000.0
+        needed = 0.999 * hist["count"]
+        inside = min(float(hist["overflow"]),
+                     needed - (hist["count"] - hist["overflow"]))
+        assert p999 == range_top + (20000.0 - range_top) * (
+            inside / hist["overflow"])
 
 
 class TestSchedulingEvents:
