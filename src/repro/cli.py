@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from typing import Optional
@@ -79,6 +80,26 @@ FIGURES = {
 }
 
 
+def _checked(convert, ok, requirement: str):
+    """argparse ``type``: ``convert`` the text, then require ``ok(value)``."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(
+                f"must be {requirement}, got {text!r}")
+        return value
+    return parse
+
+
+_POSITIVE_INT = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_NON_NEGATIVE_INT = _checked(int, lambda v: v >= 0, "an integer >= 0")
+_POSITIVE_SECONDS = _checked(
+    float, lambda v: math.isfinite(v) and v > 0, "a finite number > 0")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -121,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="comma-separated simulation seeds")
     sweep_cmd.add_argument("--cores", type=int, default=None,
                            help="override the pool's core count")
-    sweep_cmd.add_argument("--jobs", type=int, default=None,
+    sweep_cmd.add_argument("--jobs", type=_POSITIVE_INT, default=None,
                            help="worker processes (default: REPRO_JOBS "
                                 "or 1 = serial)")
     sweep_cmd.add_argument("--no-cache", action="store_true",
@@ -130,10 +151,11 @@ def build_parser() -> argparse.ArgumentParser:
                            help="result cache directory "
                                 "(default: REPRO_CACHE_DIR or "
                                 "results/cache)")
-    sweep_cmd.add_argument("--timeout", type=float, default=None,
+    sweep_cmd.add_argument("--timeout", type=_POSITIVE_SECONDS,
+                           default=None,
                            help="per-job timeout in seconds "
                                 "(parallel mode only)")
-    sweep_cmd.add_argument("--retries", type=int, default=1,
+    sweep_cmd.add_argument("--retries", type=_NON_NEGATIVE_INT, default=1,
                            help="retry budget per crashed job")
     sweep_cmd.add_argument("--json", action="store_true",
                            help="emit machine-readable JSON")
@@ -187,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="total cells in the metro deployment")
     fleet_cmd.add_argument("--shards", type=int, default=1,
                            help="per-server cell-shards (1..cells)")
-    fleet_cmd.add_argument("--jobs", type=int, default=1,
+    fleet_cmd.add_argument("--jobs", type=_POSITIVE_INT, default=1,
                            help="persistent worker processes "
                                 "(1 = in-process serial)")
     fleet_cmd.add_argument("--slots", type=int, default=400)

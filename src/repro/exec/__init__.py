@@ -3,9 +3,11 @@
 Every simulation an experiment driver wants to run is described by a
 declarative, picklable :class:`~repro.exec.spec.SimSpec` (pool config,
 policy, workload, load, seed, slot budget, knobs).  Batches of specs
-are executed by :func:`~repro.exec.batch.run_batch` through a worker
-pool with deterministic per-spec seeding — a parallel run is
-byte-identical to a serial one — backed by a content-addressed on-disk
+are executed by :func:`~repro.exec.batch.run_batch` on a
+:class:`~repro.exec.pool.WorkerPool` of warm forked workers (the one
+pool that also serves the fleet planner's shards) with deterministic
+per-spec seeding — a parallel run is byte-identical to a serial one —
+backed by a content-addressed on-disk
 result cache (:class:`~repro.exec.cache.ResultCache`) keyed by the
 spec hash and a fingerprint of the calibrated model sources, so a
 warm-cache sweep re-executes nothing and a calibration change

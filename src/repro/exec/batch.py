@@ -7,13 +7,16 @@ Execution model (the experiment-faabric work-queue shape, adapted):
 * the parent pre-trains (or reloads) every distinct predictor the
   batch needs, so forked workers inherit the trained models instead of
   re-training them per process;
-* at most ``jobs`` child processes run at once, each executing one
-  spec hermetically and reporting through a pipe;
-* a job that raises is recorded and retried up to ``retries`` times —
-  a crash degrades to a recorded error, never kills the batch;
-* a job that exceeds ``timeout_s`` is killed (``SIGTERM``) and
-  recorded as a timeout (not retried: a deterministic job that timed
-  out once will time out again).
+* the remaining jobs run on a :class:`~repro.exec.pool.WorkerPool` of
+  at most ``jobs`` warm forked workers, each executing one spec at a
+  time hermetically and replying through its pipe;
+* a job that raises, or whose worker dies, is recorded and retried up
+  to ``retries`` times — a crash degrades to a recorded error, never
+  kills the batch;
+* a job that exceeds ``timeout_s`` has its worker killed (``SIGTERM``;
+  the pool forks a replacement) and is recorded as a timeout (not
+  retried: a deterministic job that timed out once will time out
+  again).
 
 ``jobs=1`` (the default without ``REPRO_JOBS``) executes in-process in
 submission order; because every spec is hermetic, the parallel results
@@ -22,18 +25,17 @@ are byte-identical to that serial baseline.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import time
-from dataclasses import dataclass, field
-from multiprocessing.connection import wait as connection_wait
-from typing import Callable, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..obs.events import CacheEvent, global_bus
 from .cache import ResultCache, activated_cache, active_cache
 from .fingerprint import model_fingerprint
 from .spec import SimSpec, pool_config_from_dict, spec_key
-from .worker import run_job_in_child
+from .pool import WorkerPool
+from .worker import run_spec
 
 __all__ = ["JobOutcome", "BatchReport", "default_jobs", "run_batch"]
 
@@ -146,14 +148,6 @@ class _Pending:
     wall_s: float = 0.0  # accumulated over failed attempts
 
 
-@dataclass
-class _Running:
-    pending: _Pending
-    process: multiprocessing.Process
-    conn: object
-    started: float = field(default_factory=time.perf_counter)
-
-
 def _result_loadable(artifact: dict) -> bool:
     """True when the cached result payload deserializes today."""
     from ..sim.runner import RESULT_SCHEMAS
@@ -254,8 +248,8 @@ def run_batch(
 
     if jobs <= 1:
         retried = _run_serial(pending, retries, record)
-    else:
-        retried = _run_parallel(pending, jobs, timeout_s, retries, record)
+    elif pending:
+        retried = _run_pool(pending, jobs, timeout_s, retries, record)
 
     return BatchReport(
         outcomes=[o for o in outcomes if o is not None],
@@ -340,121 +334,63 @@ def _run_serial(pending: Sequence[_Pending], retries: int,
 # -- parallel execution ------------------------------------------------------------
 
 
-def _mp_context():
-    """Fork when available (workers inherit trained predictors)."""
-    methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context(
-        "fork" if "fork" in methods else None)
+def _run_pool(pending: Sequence[_Pending], jobs: int,
+              timeout_s: Optional[float], retries: int,
+              record: Callable[[JobOutcome], None]) -> int:
+    """Dispatch jobs onto a warm pool until every one is recorded.
 
-
-def _run_parallel(pending: Sequence[_Pending], jobs: int,
-                  timeout_s: Optional[float], retries: int,
-                  record: Callable[[JobOutcome], None]) -> int:
-    ctx = _mp_context()
+    The parent blocks in the pool's wait — zero CPU while simulations
+    run, immediate wakeup on the first reply — and per-job timeouts
+    bound that wait so overdue jobs are killed on schedule (the pool
+    forks a replacement for the killed worker).
+    """
     queue: List[_Pending] = list(pending)
-    active: List[_Running] = []
+    in_flight: Dict[int, Tuple[_Pending, float]] = {}  # worker -> job
     retried = 0
 
-    def spawn(item: _Pending) -> None:
-        parent_conn, child_conn = ctx.Pipe(duplex=False)
-        process = ctx.Process(
-            target=run_job_in_child,
-            args=(child_conn, item.spec.to_dict(), item.attempt),
-        )
-        process.start()
-        child_conn.close()
-        active.append(_Running(pending=item, process=process,
-                               conn=parent_conn))
-
-    def finish(run: _Running, status: str, wall_s: float,
+    def finish(item: _Pending, started: float, status: str,
                result: Optional[dict] = None,
-               error: Optional[str] = None) -> bool:
-        """Record or requeue; returns True when the job was retried."""
+               error: Optional[str] = None) -> None:
+        """Record the job, or requeue it while retries remain."""
         nonlocal retried
-        item = run.pending
-        item.wall_s += wall_s
-        if status == "error" and item.attempt < retries:
+        item.wall_s += time.perf_counter() - started
+        if status in ("error", "died") and item.attempt < retries:
             item.attempt += 1
             retried += 1
             queue.append(item)
-            return True
-        final = "ok" if status == "ok" else (
-            "timeout" if status == "timeout" else "failed")
+            return
+        final = status if status in ("ok", "timeout") else "failed"
         record(JobOutcome(index=item.index, spec=item.spec, key=item.key,
                           status=final, attempts=item.attempt + 1,
                           wall_s=item.wall_s, result=result, error=error))
-        return False
 
-    try:
-        _drain(queue, active, jobs, timeout_s, spawn, finish)
-    except BaseException:
-        # Ctrl-C (or any parent-side failure): kill the workers so the
-        # interpreter's atexit join doesn't hang on orphaned
-        # simulations.
-        for run in active:
-            run.process.terminate()
-        for run in active:
-            run.process.join(timeout=5.0)
-            run.conn.close()
-        raise
+    with WorkerPool(min(jobs, len(queue)), run_spec) as pool:
+        while queue or in_flight:
+            for worker_id in pool.idle_workers()[:len(queue)]:
+                item = queue.pop(0)
+                pool.submit(worker_id, {"spec": item.spec.to_dict(),
+                                        "attempt": item.attempt})
+                in_flight[worker_id] = (item, time.perf_counter())
+            wait_timeout = None
+            if timeout_s is not None:
+                now = time.perf_counter()
+                for worker_id, (item, started) in list(in_flight.items()):
+                    if now - started > timeout_s:
+                        pool.kill(worker_id)
+                        del in_flight[worker_id]
+                        finish(item, started, "timeout",
+                               error=f"job exceeded timeout ({timeout_s:g}s) "
+                                     f"and was killed")
+                if not in_flight:
+                    continue
+                wait_timeout = max(0.0, min(
+                    timeout_s - (now - started)
+                    for _item, started in in_flight.values()))
+            for done in pool.wait(wait_timeout):
+                item, started = in_flight.pop(done.worker_id)
+                if done.status == "ok":
+                    finish(item, started, "ok", result=done.payload)
+                else:
+                    finish(item, started, done.status,
+                           error=done.payload["error"])
     return retried
-
-
-def _drain(queue: List[_Pending], active: List[_Running], jobs: int,
-           timeout_s: Optional[float],
-           spawn: Callable[[_Pending], None],
-           finish: Callable[..., bool]) -> None:
-    """Run the spawn/wait loop until every queued job is finished.
-
-    The parent blocks in :func:`multiprocessing.connection.wait` on the
-    children's pipes — zero CPU while simulations run, immediate wakeup
-    on the first completion.  A child that dies without reporting
-    surfaces as an EOF on its (now readable) pipe; per-job timeouts
-    bound the wait so overdue children are killed on schedule.
-    """
-    while queue or active:
-        while queue and len(active) < jobs:
-            spawn(queue.pop(0))
-        # Reap overdue children first so the wait below never blocks
-        # past the earliest per-job deadline.
-        wait_timeout = None
-        if timeout_s is not None:
-            now = time.perf_counter()
-            for run in list(active):
-                if now - run.started > timeout_s:
-                    run.process.terminate()
-                    run.process.join(timeout=5.0)
-                    run.conn.close()
-                    active.remove(run)
-                    finish(run, "timeout", now - run.started,
-                           error=f"job exceeded timeout ({timeout_s:g}s) "
-                                 f"and was killed")
-            if not active:
-                continue
-            wait_timeout = max(
-                0.0,
-                min(timeout_s - (now - run.started) for run in active))
-        if not active:
-            continue
-        ready = connection_wait([run.conn for run in active],
-                                timeout=wait_timeout)
-        by_conn = {run.conn: run for run in active}
-        for conn in ready:
-            run = by_conn[conn]
-            try:
-                status, payload = conn.recv()
-            except (EOFError, OSError):
-                # Died without reporting (segfault, os._exit, ...):
-                # the closed pipe is what made the connection ready.
-                run.process.join(timeout=5.0)
-                exitcode = run.process.exitcode
-                status, payload = "error", {
-                    "error": f"worker exited with code {exitcode} "
-                             f"without reporting a result",
-                    "wall_s": time.perf_counter() - run.started}
-            run.conn.close()
-            run.process.join()
-            active.remove(run)
-            finish(run, status, payload.get("wall_s", 0.0),
-                   result=payload.get("result"),
-                   error=payload.get("error"))

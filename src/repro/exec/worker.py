@@ -1,41 +1,21 @@
-"""Child-process entry point for the batch runner.
+"""The batch runner's pool job: one spec payload in, its result out.
 
-Each job runs in its own forked process with a dedicated pipe back to
-the parent.  The worker never raises across the process boundary: any
-exception — including :class:`SpecError` from a malformed payload — is
-serialized as an error message plus traceback, so one crashing job can
-never take the batch down.  Hard crashes (a worker dying without
-reporting) surface in the parent as a nonzero exit code.
+:func:`run_spec` runs inside the warm workers of
+:class:`~repro.exec.pool.WorkerPool`.  It never needs to catch
+anything: an exception — including :class:`SpecError` from a malformed
+payload — becomes the pool's ``"error"`` reply, and a hard crash (a
+worker dying without replying) becomes ``"died"``; the batch runner
+records or retries either.
 """
 
 from __future__ import annotations
 
-import time
-import traceback
-
 from .spec import SimSpec, execute_spec
 
-__all__ = ["run_job_in_child"]
+__all__ = ["run_spec"]
 
 
-def run_job_in_child(conn, spec_payload: dict, attempt: int) -> None:
-    """Execute one spec and ship (status, payload) through ``conn``."""
-    start = time.perf_counter()
-    try:
-        spec = SimSpec.from_dict(spec_payload)
-        result = execute_spec(spec, attempt=attempt)
-        conn.send(("ok", {
-            "result": result,
-            "wall_s": time.perf_counter() - start,
-        }))
-    except BaseException as exc:  # noqa: BLE001 - isolation boundary
-        try:
-            conn.send(("error", {
-                "error": f"{type(exc).__name__}: {exc}",
-                "traceback": traceback.format_exc(),
-                "wall_s": time.perf_counter() - start,
-            }))
-        except (BrokenPipeError, OSError):  # parent gave up on us
-            pass
-    finally:
-        conn.close()
+def run_spec(payload: dict) -> dict:
+    """Execute ``{"spec": ..., "attempt": n}``; returns the result payload."""
+    return execute_spec(SimSpec.from_dict(payload["spec"]),
+                        attempt=payload["attempt"])

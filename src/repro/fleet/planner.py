@@ -6,8 +6,9 @@ accounting):
 
 1. derive the per-server shards from the :class:`FleetScenario`;
 2. ``jobs <= 1``: execute every shard in-process, in shard order (the
-   serial baseline); otherwise dispatch shards to a persistent
-   :class:`~repro.fleet.pool.ShardWorkerPool`, keeping every worker
+   serial baseline); otherwise dispatch shards to a warm
+   :class:`~repro.exec.pool.WorkerPool` running
+   :func:`~repro.fleet.worker.execute_shard`, keeping every worker
    busy while work remains and integrating idle worker-time when it
    runs dry;
 3. merge the per-shard payloads into a
@@ -29,9 +30,9 @@ import logging
 import time
 from typing import Callable, List, Optional
 
+from ..exec.pool import WorkerPool
 from ..scenario import build_simulation
 from .demand import ShardDemandRecorder
-from .pool import ShardWorkerPool
 from .report import FleetReport, build_fleet_report
 from .scenario import FleetScenario, ShardSpec
 from .worker import execute_shard, shard_payload
@@ -222,9 +223,8 @@ class Planner:
         """Dispatch shards onto a warm worker pool until all report.
 
         A worker that dies mid-job no longer forfeits its shard: the
-        shard is requeued once (retry budget 1) — on a surviving
-        worker, or through the in-process fallback if the pool has
-        drained — and only a second loss records a failure.  Completed
+        pool forks a replacement and the shard is requeued once (retry
+        budget 1); only a second loss records a failure.  Completed
         shard wall times feed a straggler threshold
         (``STRAGGLER_FACTOR`` x their median) that bounds every pool
         wait and logs any shard running past it.
@@ -240,44 +240,16 @@ class Planner:
         retried: set = set()  # shard_index values already requeued
         slow_warned: set = set()
         walls: List[float] = []  # completed shard wall times
-        with ShardWorkerPool(workers) as pool:
+        with WorkerPool(workers, execute_shard) as pool:
             while queue or in_flight:
-                while queue and pool.idle_workers():
-                    worker_id = pool.idle_workers()[0]
+                for worker_id in pool.idle_workers()[:len(queue)]:
                     shard = queue.pop(0)
-                    try:
-                        pool.submit(worker_id, shard.to_dict())
-                    except RuntimeError as exc:
-                        # The idle worker died before accepting; it is
-                        # already retired from the pool — put the shard
-                        # back and let a surviving worker (or the
-                        # drained-pool fallback below) take it.
-                        logger.warning("%s; requeueing shard %d",
-                                       exc, shard.shard_index)
-                        queue.insert(0, shard)
-                        continue
+                    pool.submit(worker_id, shard.to_dict())
                     in_flight[worker_id] = (shard, time.perf_counter())
                     dispatches += 1
                     max_in_flight = max(max_in_flight, len(in_flight))
                     self._emit("dispatch", shard.shard_index,
                                len(shards), done, worker=worker_id)
-                if not in_flight:
-                    # Workers died faster than work drained: fall back
-                    # to in-process execution for what remains (this
-                    # also serves requeued shards, so a retry cannot
-                    # strand work when no worker survives).
-                    while queue:
-                        shard = queue.pop(0)
-                        dispatches += 1
-                        try:
-                            payloads.append(
-                                execute_shard(shard.to_dict()))
-                        except Exception as exc:  # noqa: BLE001
-                            failures.append({
-                                "shard_index": shard.shard_index,
-                                "error": f"{type(exc).__name__}: {exc}"})
-                        done += 1
-                    break
                 # Every runnable shard is in flight; idle pool slots
                 # (workers with no queued work left) accumulate here.
                 timeout = None
@@ -310,6 +282,7 @@ class Planner:
                     shard, _started = in_flight.pop(message.worker_id)
                     if message.status == "ok":
                         done += 1
+                        message.payload["worker"] = message.identity
                         payloads.append(message.payload)
                         walls.append(message.payload["wall_s"])
                         self._emit("done", shard.shard_index,

@@ -31,6 +31,31 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([command, "--engine", "event"])
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--timeout", "-1"],
+        ["sweep", "--timeout", "0"],
+        ["sweep", "--timeout", "nan"],
+        ["sweep", "--timeout", "soon"],
+        ["sweep", "--jobs", "0"],
+        ["sweep", "--jobs", "-2"],
+        ["sweep", "--retries", "-1"],
+        ["fleet", "--cells", "4", "--jobs", "0"],
+        ["fleet", "--cells", "4", "--jobs", "-3"],
+    ])
+    def test_rejects_out_of_range_numbers(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert f"argument {argv[-2]}: must be" in capsys.readouterr().err
+
+    def test_accepts_boundary_numbers(self):
+        args = build_parser().parse_args(
+            ["sweep", "--jobs", "1", "--timeout", "0.5", "--retries", "0"])
+        assert (args.jobs, args.timeout, args.retries) == (1, 0.5, 0)
+        args = build_parser().parse_args(["fleet", "--cells", "4",
+                                          "--jobs", "1"])
+        assert args.jobs == 1
+
 
 class TestCommands:
     def test_list(self, capsys):

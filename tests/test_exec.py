@@ -5,7 +5,8 @@ the goal is exercising the orchestration machinery, not the paper's
 numbers.
 """
 
-import json
+import dataclasses
+import os
 
 import pytest
 
@@ -22,6 +23,7 @@ from repro.exec import (
     spec_key,
 )
 from repro.exec.batch import default_jobs
+from repro.exec.digest import result_digest
 from repro.experiments.common import make_spec, repro_scale, run_simulation
 from repro.ran.config import PoolConfig, cell_20mhz_fdd, pool_20mhz_7cells
 
@@ -85,13 +87,23 @@ class TestResultCache:
 
 class TestBatchRunner:
     def test_parallel_matches_serial_byte_for_byte(self):
-        specs = [flexran_spec(seed=s, num_slots=100) for s in (1, 2, 3)]
+        # Five jobs on two warm workers: each worker serves more than
+        # one job.  The concordia job learns online; the per-job deep
+        # copy of its predictor keeps that learning out of the trained
+        # model the serial run shares with the parent and the workers
+        # inherit, or the two runs' concordia results would differ.
+        concordia = dataclasses.replace(
+            make_spec(small_config(), "concordia", num_slots=100, seed=4),
+            training_slots=30)
+        specs = [flexran_spec(seed=s, num_slots=100) for s in (1, 2, 3, 5)]
+        specs.insert(1, concordia)
         serial = run_batch(specs, jobs=1, use_cache=False)
-        parallel = run_batch(specs, jobs=3, use_cache=False)
-        dump = lambda rep: [json.dumps(o.result, sort_keys=True)
-                            for o in rep.outcomes]
+        parallel = run_batch(specs, jobs=2, use_cache=False)
+        # The digest strips host-time telemetry (the concordia
+        # scheduler's *_wall_s counters) and nothing else.
+        dump = lambda rep: [result_digest(o.result) for o in rep.outcomes]
         assert dump(serial) == dump(parallel)
-        assert parallel.executed == 3 and parallel.failed == 0
+        assert parallel.executed == 5 and parallel.failed == 0
 
     def test_warm_cache_executes_nothing(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -133,14 +145,39 @@ class TestBatchRunner:
         assert results[0] is None and results[2] is not None
 
     def test_timeout_kills_the_job(self):
-        slow = flexran_spec(seed=10, num_slots=100)
+        slow = make_spec(tiny_config(), "flexran", num_slots=20, seed=10)
         slow.knobs["__test_sleep_s__"] = 30.0
-        report = run_batch([slow], jobs=2, use_cache=False,
-                           timeout_s=0.5)
-        outcome = report.outcomes[0]
-        assert outcome.status == "timeout"
-        assert "killed" in outcome.error
+        good = [make_spec(tiny_config(), "flexran", num_slots=20, seed=s)
+                for s in (11, 12)]
+        report = run_batch([slow] + good, jobs=2, use_cache=False,
+                           timeout_s=2.0)
+        statuses = [o.status for o in report.outcomes]
+        assert statuses == ["timeout", "ok", "ok"]
+        assert "killed" in report.outcomes[0].error
+        assert report.outcomes[0].attempts == 1  # timeouts are not retried
         assert report.batch_wall_s < 10.0
+
+    def test_dead_worker_is_retried_then_recorded(self, monkeypatch):
+        import repro.exec.worker as worker_module
+
+        execute_spec = worker_module.execute_spec
+
+        def dies_on_seed_13(spec, attempt=0):
+            if spec.seed == 13:
+                os._exit(13)
+            return execute_spec(spec, attempt=attempt)
+
+        # Forked workers inherit the patch.  One job means a one-worker
+        # pool, so the retry can only run on the fork that replaced
+        # the dead worker.
+        monkeypatch.setattr(worker_module, "execute_spec", dies_on_seed_13)
+        dies = make_spec(tiny_config(), "flexran", num_slots=20, seed=13)
+        report = run_batch([dies], jobs=2, use_cache=False, retries=1)
+        (outcome,) = report.outcomes
+        assert outcome.status == "failed"
+        assert outcome.attempts == 2
+        assert "exited with code 13" in outcome.error
+        assert report.retried == 1
 
     def test_telemetry_and_progress_stream(self, tmp_path):
         cache = ResultCache(tmp_path)

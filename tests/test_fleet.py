@@ -7,8 +7,8 @@ The metro-scale invariants under test:
 * per-cell sampling digests are invariant to shard count and to the
   serial/parallel execution mode (the PR-3 interleaving-independence
   invariant lifted to fleet scale);
-* the worker pool keeps forked workers warm across jobs and survives
-  worker death;
+* the worker pool keeps forked workers warm across jobs and replaces
+  a worker that dies;
 * the planner aggregates per-shard payloads identically no matter who
   executed them.
 """
@@ -19,11 +19,11 @@ import pytest
 
 from repro.cli import main
 from repro.core.federated import CoreDemand
+from repro.exec.pool import WorkerPool
 from repro.fleet import (
     FleetScenario,
     Planner,
     ShardSpec,
-    ShardWorkerPool,
     combined_digest,
     execute_shard,
     histogram_percentile,
@@ -214,13 +214,14 @@ class TestWorkerPool:
     def test_workers_stay_warm_across_jobs(self):
         fleet = FleetScenario(cells=4, shards=4, num_slots=5, seed=2)
         shards = fleet.derive_shards()
-        with ShardWorkerPool(1) as pool:
+        with WorkerPool(1, execute_shard) as pool:
             pids, jobs_done = set(), []
             for shard in shards:
                 pool.submit(0, shard.to_dict())
                 (message,) = pool.wait()
                 assert message.status == "ok"
-                worker = message.payload["worker"]
+                assert "worker" not in message.payload
+                worker = message.identity
                 pids.add(worker["pid"])
                 jobs_done.append(worker["jobs_done"])
         assert len(pids) == 1  # one forked process served everything
@@ -231,7 +232,7 @@ class TestWorkerPool:
         (shard,) = fleet.derive_shards()
         bad = shard.to_dict()
         bad["scenario"] = {"schema": -1}
-        with ShardWorkerPool(1) as pool:
+        with WorkerPool(1, execute_shard) as pool:
             pool.submit(0, bad)
             (message,) = pool.wait()
             assert message.status == "error"
@@ -241,17 +242,24 @@ class TestWorkerPool:
             (message,) = pool.wait()
             assert message.status == "ok"
 
-    def test_dead_worker_is_retired(self):
+    def test_dead_worker_is_replaced(self):
         fleet = FleetScenario(cells=1, shards=1, num_slots=5)
         (shard,) = fleet.derive_shards()
-        with ShardWorkerPool(2) as pool:
+        with WorkerPool(2, execute_shard) as pool:
             pool.submit(0, shard.to_dict())
             pool._workers[0].process.terminate()
             messages = pool.wait()
             died = [m for m in messages if m.status == "died"]
             assert died and died[0].worker_id == 0
             assert "without reporting" in died[0].payload["error"]
-            assert pool.alive == 1
+            assert pool.alive == 2
+            assert sorted(pool.idle_workers()) == [0, 1]
+            # A fresh fork took worker 0's place and serves the next job.
+            pool.submit(0, shard.to_dict())
+            (message,) = pool.wait(timeout=60.0)
+            assert message.status == "ok"
+            assert message.identity["pid"] != died[0].identity["pid"]
+            assert message.identity["jobs_done"] == 1
 
 
 class TestPlanner:
@@ -295,13 +303,13 @@ class TestPlanner:
     def test_dead_worker_shard_is_requeued(self, monkeypatch):
         """Killing a worker mid-job must not forfeit its shard.
 
-        The shard is requeued (retry budget 1) and completes on a
-        surviving worker, so the report is clean and the fleet digest
-        matches the serial run byte for byte.
+        The pool forks a replacement, the shard is requeued (retry
+        budget 1) and completes, so the report is clean and the fleet
+        digest matches the serial run byte for byte.
         """
         import repro.fleet.planner as planner_module
 
-        class KillFirstJobPool(ShardWorkerPool):
+        class KillFirstJobPool(WorkerPool):
             killed = False
 
             def submit(self, worker_id, payload):
@@ -310,7 +318,7 @@ class TestPlanner:
                     KillFirstJobPool.killed = True
                     self._workers[worker_id].process.terminate()
 
-        monkeypatch.setattr(planner_module, "ShardWorkerPool",
+        monkeypatch.setattr(planner_module, "WorkerPool",
                             KillFirstJobPool)
         events = []
         fleet = FleetScenario(cells=4, shards=2, num_slots=10, seed=6)
